@@ -36,8 +36,8 @@ def portrait(J: int, kb: int) -> None:
     M = assemble_transition_matrix(J, lw, kb)
     eigs = eigenvalues(M)
     rho = float(np.max(np.abs(eigs)))
-    nrm = operator_norm_l2(M, rtol=1e-9)
-    envelope = power_norm_envelope(M, 4 * J, rtol=1e-9)
+    nrm = operator_norm_l2(M)
+    envelope = power_norm_envelope(M, 4 * J)
     n_peak = int(np.argmax(envelope))
     print(f"J={J} kb={kb}:")
     print(f"  spectral radius      {rho:.6f}")

@@ -26,7 +26,8 @@ from .solver import (CallableDatum, ConvergenceRow, ErrorReport,
 from .state import FieldState
 from .spectral import (ConvergenceError, PseudospectrumGrid, SpectralReport,
                        TransitionMatrix, assemble_transition_matrix,
-                       build_report, eigenvalues, operator_norm_l2,
+                       build_report, eigenvalue_path, eigenvalues,
+                       operator_norm_l2,
                        power_norm_envelope, pseudospectrum_grid,
                        smallest_singular_value, spectral_radius)
 
@@ -66,6 +67,7 @@ __all__ = [
     "convergence_study",
     "decompose_zero_sum_form",
     "dissipation_and_boundary_form",
+    "eigenvalue_path",
     "eigenvalues",
     "error_metrics",
     "exact_solution",

@@ -23,7 +23,8 @@ from .scheme import (BUILTIN_SCHEMES, SchemeStencil, check_l2_stability,
 from .solver import (GridSpec, PowerPlusDatum, convergence_study, n_steps,
                      reference_values, run_interval)
 from .spectral import (ConvergenceError, assemble_transition_matrix,
-                       operator_norm_l2, pseudospectrum_grid, spectral_radius)
+                       eigenvalue_path, operator_norm_l2, pseudospectrum_grid,
+                       spectral_radius)
 
 NAMED_DATA = {
     "u01": (0.5, 3.0),
@@ -220,17 +221,20 @@ def cmd_spectral(args) -> int:
         _emit(args, _csv_lines(header, ["re", "im", "sigma_min"], rows))
         return 0
     rows = []
+    dense = []
     for kb in kbs:
         for J in J_values:
             matrix = assemble_transition_matrix(J, stencil, kb)
-            rho = spectral_radius(matrix)
-            # nine digits are plenty for a printed report and avoid
-            # stalling the norm iteration on clustered singular values
-            norm = operator_norm_l2(matrix, rtol=1e-9)
-            rows.append((J, kb, rho, norm))
+            if eigenvalue_path(matrix) == "dense":
+                dense.append(f"{J}:{kb}")
+            rows.append((J, kb, spectral_radius(matrix),
+                         operator_norm_l2(matrix)))
+    # rows whose rho is a dense float64 value, which need not be well
+    # conditioned (see the spectral module); the others are exact or come
+    # from a well-conditioned similar matrix
     header = _config_header(
         args, stencil, J_list=",".join(map(str, J_values)),
-        kb=",".join(map(str, kbs)),
+        kb=",".join(map(str, kbs)), rho_dense_J_kb=",".join(dense) or "none",
     )
     _emit(args, _csv_lines(header, ["J", "kb", "rho", "norm"], rows))
     return 0
@@ -307,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--datum", default="u01")
         p.add_argument("--convention", default="midpoint",
                        choices=["midpoint", "cell_average"])
-        p.add_argument("--record", default="sup",
-                       choices=["final", "sup", "history"])
 
     p = sub.add_parser("verify", help="consistency, stability, and "
                                       "boundary-certificate report")

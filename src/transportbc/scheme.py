@@ -67,15 +67,6 @@ class SchemeStencil:
     def offsets(self) -> np.ndarray:
         return np.arange(-self.r, self.p + 1)
 
-    @property
-    def is_normalized(self) -> bool:
-        """True when both edge coefficients are nonzero.
-
-        The degenerate pure-shift case (lam*a = 1 for some schemes) has a
-        vanishing downstream edge; it is accepted but not normalized.
-        """
-        return self.coeffs[0] != 0.0 and self.coeffs[-1] != 0.0
-
 
 def make_builtin(name: str, a: float, lam: float,
                  enforce_cfl: bool = True) -> SchemeStencil:

@@ -4,42 +4,39 @@ Eliminating the ghost cells of the interval scheme turns one time step into
 a dense ``J x J`` matrix: banded Toeplitz in the interior, perturbed in the
 last rows where the outflow extrapolation folds ghost values back onto
 interior cells.  This module assembles that matrix and measures it: spectral
-radius, l2-induced norm (power iteration on ``A^T A``), norms of matrix
-powers, and smallest-singular-value grids for pseudospectra.
+radius, l2-induced norm, norms of matrix powers, and smallest-singular-value
+grids for pseudospectra.  The dense kernels are numpy's LAPACK; a LAPACK
+failure is raised as ConvergenceError.
 
-Eigenvalues take one of three paths.  Triangular matrices (one-sided
-stencils) return their diagonal.  Real tridiagonal matrices (three-point
-stencils with ``kb <= 2``) are first mapped by a diagonal similarity to a
-matrix whose off-diagonal pairs have equal moduli; its eigenvalues are
-well conditioned and are computed by LAPACK.  Everything else goes through
-balanced Hessenberg reduction and implicit double-shift QR written out
-here.  On that dense path the extreme eigenvalue moduli of strongly
-non-normal matrices (``kb >= 3`` or wider stencils at large ``J``) are not
-well conditioned: float64 rounding moves them by far more than machine
-precision, so they are points of the machine-eps pseudospectrum rather
-than eigenvalues (Reichel & Trefethen, LAA 162, 1992).
-
-The dense QR and the complex LU used by the pseudospectrum grid are
-implemented here rather than delegated, so results are reproducible from
-this source alone.  Both are textbook algorithms; neither is tuned beyond
-restricting updates to the active window.
+Norms and smallest singular values are well conditioned and come straight
+from the SVD.  Eigenvalues are not, for these strongly non-normal matrices,
+so they take one of three paths (``eigenvalue_path`` names it).  Triangular
+matrices (one-sided stencils) return their diagonal.  Real tridiagonal
+matrices (three-point stencils with ``kb <= 2``) are first mapped by a
+diagonal similarity to a matrix whose off-diagonal pairs have equal moduli;
+its eigenvalues are well conditioned.  Everything else is solved densely as
+it stands, and there the extreme eigenvalue moduli at large ``J``
+(``kb >= 3`` or wider stencils) are not well conditioned: float64 rounding
+moves them by far more than machine precision, so they are points of the
+machine-eps pseudospectrum rather than eigenvalues (Reichel & Trefethen,
+LAA 162, 1992).
 """
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .scheme import SchemeStencil
 
-_EPS = float(np.finfo(float).eps)
+# Complex entries in one stacked SVD of the pseudospectrum grid (16 MB): a
+# whole row of shifts at moderate J, fewer shifts per stack at large J.
+_STACK_ENTRIES = 2 ** 20
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative spectral computation exceeded its sweep budget."""
+    """A LAPACK eigenvalue or singular value computation did not converge."""
 
 
 @dataclass
@@ -137,66 +134,6 @@ def _entries(matrix) -> np.ndarray:
     return A
 
 
-def _balance(A: np.ndarray) -> np.ndarray:
-    """Diagonal similarity scaling by powers of 2 equalizing row/column
-    1-norms; exact in floating point, eigenvalues unchanged."""
-    A = A.copy()
-    n = A.shape[0]
-    done = False
-    while not done:
-        done = True
-        for i in range(n):
-            c = float(np.sum(np.abs(A[:, i]))) - abs(A[i, i])
-            r = float(np.sum(np.abs(A[i, :]))) - abs(A[i, i])
-            if c == 0.0 or r == 0.0:
-                continue
-            f = 1.0
-            s = c + r
-            while c < r / 2.0:
-                f *= 2.0
-                c *= 4.0
-            while c > r * 2.0:
-                f /= 2.0
-                c /= 4.0
-            if (c + r) / f < 0.95 * s:
-                done = False
-                A[i, :] /= f
-                A[:, i] *= f
-    return A
-
-
-def _hessenberg(A: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form (in place on a copy)."""
-    H = A.copy()
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1:, k]
-        nx = float(np.sqrt(np.dot(x, x)))
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += nx if v[0] >= 0 else -nx
-        nv = float(np.sqrt(np.dot(v, v)))
-        if nv == 0.0:
-            continue
-        v /= nv
-        H[k + 1:, k:] -= 2.0 * np.outer(v, v @ H[k + 1:, k:])
-        H[:, k + 1:] -= 2.0 * np.outer(H[:, k + 1:] @ v, v)
-        H[k + 2:, k] = 0.0
-    return H
-
-
-def _eig2(h00: float, h01: float, h10: float, h11: float) -> list[complex]:
-    tr = h00 + h11
-    det = h00 * h11 - h01 * h10
-    disc = tr * tr / 4.0 - det
-    if disc >= 0.0:
-        rd = math.sqrt(disc)
-        return [complex(tr / 2.0 + rd), complex(tr / 2.0 - rd)]
-    rd = math.sqrt(-disc)
-    return [complex(tr / 2.0, rd), complex(tr / 2.0, -rd)]
-
-
 def _symmetrized_tridiagonal(A: np.ndarray) -> np.ndarray:
     """Diagonally similar copy of a real tridiagonal matrix whose
     off-diagonal pairs share one modulus.
@@ -215,8 +152,24 @@ def _symmetrized_tridiagonal(A: np.ndarray) -> np.ndarray:
             + np.diag(np.sign(c) * r, 1))
 
 
-def eigenvalues(matrix, max_sweeps_factor: int = 100) -> np.ndarray:
-    """All eigenvalues, by the cheapest well-posed path for the input.
+def eigenvalue_path(matrix) -> str:
+    """Which path ``eigenvalues`` takes: ``"triangular"``, ``"tridiagonal"``
+    or ``"dense"``.
+
+    Only the dense path can return extreme moduli that are not well
+    conditioned, so callers that print radii use this to label them.
+    """
+    A = _entries(matrix)
+    if not np.any(np.triu(A, 1)) or not np.any(np.tril(A, -1)):
+        return "triangular"
+    if not np.any(np.triu(A, 2)) and not np.any(np.tril(A, -2)):
+        return "tridiagonal"
+    return "dense"
+
+
+def eigenvalues(matrix) -> np.ndarray:
+    """All eigenvalues, by a path chosen from the input's structure
+    (``eigenvalue_path``).
 
     - Triangular input returns its diagonal, exactly.
     - Tridiagonal input (Lax-Wendroff and other three-point stencils with
@@ -224,129 +177,27 @@ def eigenvalues(matrix, max_sweeps_factor: int = 100) -> np.ndarray:
       eigenvalues are well conditioned, and solved by LAPACK.  Large-``J``
       transition matrices are so non-normal that solving them directly in
       float64 returns pseudo-eigenvalues, with moduli drifting toward 1.
-    - Anything else runs implicit double-shift QR on the balanced
-      Hessenberg form.  Deterministic; raises ConvergenceError after
-      ``max_sweeps_factor * n`` sweeps instead of returning garbage.  For
-      strongly non-normal input (``kb >= 3`` or wider stencils) the extreme
-      moduli from this path are not well conditioned.
+    - Anything else is solved by LAPACK as it stands.  For strongly
+      non-normal input (``kb >= 3`` or wider stencils) the extreme moduli
+      from this dense path are not well conditioned at large ``J``.
 
-    ``max_sweeps_factor`` bounds only the dense QR.  A LAPACK failure on
-    the tridiagonal path is raised as ConvergenceError as well.
+    A LAPACK failure is raised as ConvergenceError.
     """
     A = _entries(matrix)
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    if n == 1:
-        return np.array([complex(A[0, 0])])
-    if not np.any(np.triu(A, 1)) or not np.any(np.tril(A, -1)):
-        # triangular (e.g. one-sided stencils): the spectrum is the diagonal,
-        # exactly; iterating would trade that for Jordan-block sensitivity
+    path = eigenvalue_path(A)
+    if path == "triangular":
+        # one-sided stencils: the spectrum is the diagonal, exactly; a
+        # solver would trade that for Jordan-block sensitivity
         return np.diag(A).astype(complex)
-    if not np.any(np.triu(A, 2)) and not np.any(np.tril(A, -2)):
-        try:
-            eigs = np.linalg.eigvals(_symmetrized_tridiagonal(A))
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"tridiagonal eigenvalue solve did not converge: {exc}"
-            ) from exc
-        return eigs.astype(complex)
-    H = _balance(A)
-    if np.any(np.tril(H, -2)):
-        H = _hessenberg(H)
-    anorm = float(np.max(np.abs(H))) or 1.0
-    eigs: list[complex] = []
-    ihi = n - 1
-    sweeps = 0
-    max_sweeps = max_sweeps_factor * n
-    iters_this_block = 0
-    while ihi >= 0:
-        if ihi == 0:
-            eigs.append(complex(H[0, 0]))
-            break
-        ilo = ihi
-        while ilo > 0:
-            s = abs(H[ilo - 1, ilo - 1]) + abs(H[ilo, ilo])
-            if abs(H[ilo, ilo - 1]) <= _EPS * (s if s > 0.0 else anorm):
-                H[ilo, ilo - 1] = 0.0
-                break
-            ilo -= 1
-        if ilo == ihi:
-            eigs.append(complex(H[ihi, ihi]))
-            ihi -= 1
-            iters_this_block = 0
-            continue
-        if ilo == ihi - 1:
-            eigs.extend(_eig2(H[ihi - 1, ihi - 1], H[ihi - 1, ihi],
-                              H[ihi, ihi - 1], H[ihi, ihi]))
-            ihi -= 2
-            iters_this_block = 0
-            continue
-        sweeps += 1
-        iters_this_block += 1
-        if sweeps > max_sweeps:
-            raise ConvergenceError(
-                f"QR iteration did not converge within {max_sweeps} sweeps "
-                f"({ihi - ilo + 1} eigenvalues outstanding)"
-            )
-        if iters_this_block % 10 == 0:
-            # exceptional shift built from the stalled subdiagonal entries
-            sft = abs(H[ihi, ihi - 1]) + abs(H[ihi - 1, ihi - 2])
-            t1 = 0.75 * sft + H[ihi, ihi]
-            tr = 2.0 * t1
-            det = t1 * t1 - 0.4375 * sft * sft
-        else:
-            tr = H[ihi - 1, ihi - 1] + H[ihi, ihi]
-            det = (H[ihi - 1, ihi - 1] * H[ihi, ihi]
-                   - H[ihi - 1, ihi] * H[ihi, ihi - 1])
-        # scan upward from the bottom for two consecutive subdiagonal
-        # entries small enough that the bulge can start mid-window; the
-        # chase then covers only the unconverged tail instead of the
-        # whole window
-        x = y = z = 0.0
-        m = ilo
-        for m in range(ihi - 2, ilo - 1, -1):
-            hmm = H[m, m]
-            x = (hmm * (hmm - tr) + det) / H[m + 1, m] + H[m, m + 1]
-            y = hmm + H[m + 1, m + 1] - tr
-            z = H[m + 2, m + 1]
-            s = abs(x) + abs(y) + abs(z)
-            if s > 0.0:
-                x, y, z = x / s, y / s, z / s
-            if m == ilo:
-                break
-            spill = abs(H[m, m - 1]) * (abs(y) + abs(z))
-            local = abs(x) * (abs(H[m - 1, m - 1]) + abs(hmm)
-                              + abs(H[m + 1, m + 1]))
-            if spill <= _EPS * local:
-                break
-        for k in range(m, ihi - 1):
-            nv = math.sqrt(x * x + y * y + z * z)
-            if nv > 0.0:
-                v0 = x + math.copysign(nv, x) if x != 0.0 else nv
-                wn = math.sqrt(v0 * v0 + y * y + z * z)
-                w = np.array((v0 / wn, y / wn, z / wn))
-                r0 = max(ilo, k - 1)
-                rows = H[k:k + 3, r0:ihi + 1]
-                rows -= np.outer(2.0 * w, w @ rows)
-                c1 = min(ihi, k + 3)
-                cols = H[ilo:c1 + 1, k:k + 3]
-                cols -= np.outer(cols @ w, 2.0 * w)
-            x = float(H[k + 1, k])
-            y = float(H[k + 2, k])
-            z = float(H[k + 3, k]) if k + 3 <= ihi else 0.0
-        v = np.array([x, y])
-        nv = float(np.sqrt(np.dot(v, v)))
-        if nv > 0.0:
-            v0 = v[0] + math.copysign(nv, v[0]) if v[0] != 0.0 else nv
-            w = np.array([v0, y])
-            w /= float(np.sqrt(np.dot(w, w)))
-            k = ihi - 1
-            H[k:k + 2, k - 1:ihi + 1] -= 2.0 * np.outer(
-                w, w @ H[k:k + 2, k - 1:ihi + 1])
-            H[ilo:ihi + 1, k:k + 2] -= 2.0 * np.outer(
-                H[ilo:ihi + 1, k:k + 2] @ w, w)
-    return np.array(eigs)
+    if path == "tridiagonal":
+        A = _symmetrized_tridiagonal(A)
+    try:
+        eigs = np.linalg.eigvals(A)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"{path} eigenvalue solve did not converge: {exc}"
+        ) from exc
+    return eigs.astype(complex)
 
 
 def spectral_radius(matrix) -> float:
@@ -355,8 +206,8 @@ def spectral_radius(matrix) -> float:
     Follows the path of ``eigenvalues``: exact for triangular input and
     well conditioned for tridiagonal input, such as every Lax-Wendroff
     transition matrix with ``kb <= 2``.  For other strongly non-normal
-    input the dense QR value is a float64 pseudo-eigenvalue modulus at
-    large ``J``, not a conditioned radius.
+    input the dense value is a float64 pseudo-eigenvalue modulus at large
+    ``J``, not a conditioned radius.
     """
     eigs = eigenvalues(matrix)
     if len(eigs) == 0:
@@ -364,69 +215,29 @@ def spectral_radius(matrix) -> float:
     return float(np.max(np.abs(eigs)))
 
 
-class NormEstimate(NamedTuple):
-    value: float
-    converged: bool
-    iterations: int
+def _singular_values(B: np.ndarray) -> np.ndarray:
+    """Singular values in descending order (stacked over leading axes)."""
+    try:
+        return np.linalg.svd(B, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"singular value decomposition did not converge: {exc}"
+        ) from exc
 
 
-def operator_norm_l2(matrix, rtol: float = 1e-12, max_iter: int = 100000,
-                     return_details: bool = False):
-    """Largest singular value by power iteration on ``A^T A``.
+def _norm2(A: np.ndarray) -> float:
+    return float(_singular_values(A)[0]) if len(A) else 0.0
 
-    Starts from the normalized all-ones vector so repeated calls agree to
-    the bit.  If the iteration cap is hit the best estimate is still
-    returned, flagged through ``return_details`` and a warning.
+
+def operator_norm_l2(matrix, rtol: float = 1e-12,
+                     max_iter: int = 100000) -> float:
+    """l2-induced norm: the largest singular value, from LAPACK's SVD.
+
+    ``rtol`` and ``max_iter`` are accepted for compatibility and have no
+    effect: singular values are well conditioned, and the SVD returns
+    them to rounding.
     """
-    A = _entries(matrix)
-    n = A.shape[0]
-    if n == 0:
-        result = NormEstimate(0.0, True, 0)
-        return result if return_details else result.value
-    x = np.ones(n) / math.sqrt(n)
-    dead_starts = 0
-    theta = 0.0
-    prev_delta = math.inf
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        y = A @ x
-        theta_new = float(np.dot(y, y))
-        z = A.T @ y
-        nz = float(np.sqrt(np.dot(z, z)))
-        if nz == 0.0:
-            # the start vector sits in the kernel; advance to the next
-            # canonical one before concluding anything about the norm
-            if theta_new == 0.0 and dead_starts < n:
-                x = np.zeros(n)
-                x[dead_starts] = 1.0
-                dead_starts += 1
-                continue
-            theta = theta_new
-            converged = True
-            break
-        x = z / nz
-        delta = abs(theta_new - theta)
-        floor = rtol * max(theta_new, 1e-300)
-        if it > 1 and delta <= floor:
-            theta = theta_new
-            converged = True
-            break
-        if it > 2 and 0.0 < delta < prev_delta:
-            # geometric extrapolation of the increment tail: on clustered
-            # spectra the raw increments understate the remaining error
-            q = delta / prev_delta
-            if delta * q / (1.0 - q) <= floor:
-                theta = theta_new
-                converged = True
-                break
-        prev_delta = delta
-        theta = theta_new
-    if not converged:
-        warnings.warn("singular-value power iteration hit its cap of "
-                      f"{max_iter} iterations", RuntimeWarning, stacklevel=2)
-    result = NormEstimate(math.sqrt(theta), converged, it)
-    return result if return_details else result.value
+    return _norm2(_entries(matrix))
 
 
 def power_norm_envelope(matrix, n_max: int,
@@ -434,10 +245,9 @@ def power_norm_envelope(matrix, n_max: int,
                         rtol: float = 1e-12) -> np.ndarray:
     """l2 norms of ``A^n`` for ``n = 0..n_max``.
 
-    Powers of two are refreshed by squaring the previous dyadic power;
-    everything else multiplies the predecessor by ``A`` once.  ``rtol``
-    is forwarded to the per-power norm estimate; loosen it when the
-    envelope only feeds a table or a plot.
+    Each power is its predecessor times ``A``, and its norm is its largest
+    singular value.  ``budget`` caps ``n_max * J^3``.  ``rtol`` is accepted
+    for compatibility and has no effect.
     """
     A = _entries(matrix)
     n = A.shape[0]
@@ -448,86 +258,17 @@ def power_norm_envelope(matrix, n_max: int,
             f"n_max * J^3 = {n_max * n ** 3:.2e} exceeds the flop budget "
             f"{budget:.2e}"
         )
-    norms = np.zeros(n_max + 1)
-    norms[0] = 1.0
+    norms = np.ones(n_max + 1)
     P = np.eye(n)
-    dyadic = {0: P}
     for k in range(1, n_max + 1):
-        if k & (k - 1) == 0 and k // 2 in dyadic and k > 1:
-            P = dyadic[k // 2] @ dyadic[k // 2]
-            dyadic[k] = P
-        else:
-            P = P @ A
-            if k & (k - 1) == 0:
-                dyadic[k] = P
-        norms[k] = operator_norm_l2(P, rtol=rtol)
+        P = P @ A
+        norms[k] = _norm2(P)
     return norms
 
 
-class _SingularShift(Exception):
-    pass
-
-
-def _lu_factor(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Partial-pivoting LU of a complex matrix: returns (LU, q) with
-    ``B[q] = L @ U`` (L unit lower, U upper, both packed in LU)."""
-    A = B.copy()
-    n = A.shape[0]
-    q = np.arange(n)
-    for k in range(n):
-        m = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[m, k]) == 0.0:
-            raise _SingularShift
-        if m != k:
-            A[[k, m]] = A[[m, k]]
-            q[[k, m]] = q[[m, k]]
-        if k < n - 1:
-            A[k + 1:, k] /= A[k, k]
-            A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:])
-    return A, q
-
-
-def _lu_inverse(LU: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Explicit ``B^-1 = U^-1 L^-1 P`` from the packed factorization,
-    by forward and back substitution on all columns at once."""
-    n = LU.shape[0]
-    Z = np.eye(n, dtype=complex)[q]
-    for k in range(1, n):
-        Z[k] -= LU[k, :k] @ Z[:k]
-    for k in range(n - 1, -1, -1):
-        Z[k] = (Z[k] - LU[k, k + 1:] @ Z[k + 1:]) / LU[k, k]
-    return Z
-
-
-def smallest_singular_value(B: np.ndarray, rtol: float = 1e-10,
-                            max_iter: int = 2000) -> float:
-    """sigma_min of a complex matrix via inverse iteration on ``B^H B``.
-
-    The inverse is formed once so every iteration is two matrix-vector
-    products; the accuracy floor is eps times the condition number of
-    ``B`` either way, and for a singular-value estimate that floor is
-    harmless even when ``B`` is nearly singular.
-    """
-    n = B.shape[0]
-    try:
-        LU, q = _lu_factor(np.asarray(B, dtype=complex))
-    except _SingularShift:
-        return 0.0
-    X = _lu_inverse(LU, q)
-    Xh = X.conj().T
-    x = np.ones(n, dtype=complex) / math.sqrt(n)
-    sigma = math.inf
-    for _ in range(max_iter):
-        u = X @ (Xh @ x)
-        nu = float(np.sqrt(np.real(np.vdot(u, u))))
-        if nu == 0.0 or not math.isfinite(nu):
-            return 0.0
-        sigma_new = 1.0 / math.sqrt(nu)
-        x = u / nu
-        if abs(sigma_new - sigma) <= rtol * max(sigma_new, 1e-300):
-            return sigma_new
-        sigma = sigma_new
-    return sigma
+def smallest_singular_value(B: np.ndarray) -> float:
+    """sigma_min of a real or complex square matrix, from LAPACK's SVD."""
+    return float(_singular_values(np.asarray(B))[-1])
 
 
 def pseudospectrum_grid(matrix, re_range: tuple[float, float] = (-1.5, 1.5),
@@ -536,20 +277,24 @@ def pseudospectrum_grid(matrix, re_range: tuple[float, float] = (-1.5, 1.5),
     """sigma_min(zI - A) on a uniform rectangle of complex shifts.
 
     The epsilon-pseudospectrum is the sublevel set ``sigma <= epsilon`` of
-    the returned grid.  Each node is independent of the others.
+    the returned grid.  The shifts of one grid row go through LAPACK as one
+    stacked SVD, split into several when a row would hold more than
+    ``_STACK_ENTRIES`` complex entries, so memory stays bounded at large
+    ``J`` and ``resolution``.
     """
     if not 1 <= resolution <= 512:
         raise ValueError("resolution must be between 1 and 512 per axis")
-    A = _entries(matrix).astype(complex)
-    n = A.shape[0]
+    A = _entries(matrix)
+    eye = np.eye(A.shape[0])
+    step = max(1, min(resolution, _STACK_ENTRIES // max(1, A.size)))
     re = np.linspace(re_range[0], re_range[1], resolution)
     im = np.linspace(im_range[0], im_range[1], resolution)
     sigma = np.zeros((resolution, resolution))
-    eye = np.eye(n, dtype=complex)
     for i, b in enumerate(im):
-        for k, a in enumerate(re):
-            z = complex(a, b)
-            sigma[i, k] = smallest_singular_value(z * eye - A)
+        for k in range(0, resolution, step):
+            shifts = np.multiply.outer(re[k:k + step] + 1j * b, eye)
+            shifts -= A
+            sigma[i, k:k + step] = _singular_values(shifts)[:, -1]
     return PseudospectrumGrid(re=re, im=im, sigma=sigma)
 
 

@@ -124,9 +124,7 @@ def test_transition_matrix_spectra_and_norms_table():
             want_rho, want_norm = REFERENCE_SPECTRA[kb][J]
             M = assemble_transition_matrix(J, lw, kb)
             rho = float(np.max(np.abs(eigenvalues(M))))
-            # the table quotes four decimals; 1e-9 on the norm iteration
-            # is six orders below the comparison tolerance
-            nrm = operator_norm_l2(M, rtol=1e-9)
+            nrm = operator_norm_l2(M)
             for label, got, want in (("radius", rho, want_rho),
                                      ("norm", nrm, want_norm)):
                 dev = abs(got - want)

@@ -119,6 +119,20 @@ def test_spectral_table_rows(capsys):
         assert 0.0 < rho <= norm + 1e-10
 
 
+def test_spectral_labels_dense_radii(capsys):
+    # kb=3 folds a three-cell closure into the last row: not tridiagonal,
+    # so its radius comes from the dense path and is named in the header
+    assert main(["spectral", "--J-list", "8,12", "--kb", "1,3"]) == 0
+    out = _lines(capsys)
+    assert "# rho_dense_J_kb=8:3,12:3" in out
+    assert next(ln for ln in out if not ln.startswith("#")) == "J,kb,rho,norm"
+    data = [ln.split(",") for ln in out if not ln.startswith("#")][1:]
+    assert [(int(r[0]), int(r[1])) for r in data] == [
+        (8, 1), (12, 1), (8, 3), (12, 3)]
+    assert main(["spectral", "--J", "8", "--kb", "1,2"]) == 0
+    assert "# rho_dense_J_kb=none" in _lines(capsys)
+
+
 def test_spectral_needs_grid(capsys):
     assert main(["spectral"]) == 1
     assert "--J" in capsys.readouterr().err

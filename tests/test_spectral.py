@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from transportbc import spectral
 from transportbc import (ConvergenceError, PseudospectrumGrid, SchemeStencil,
                          SpectralReport, TransitionMatrix,
                          assemble_transition_matrix, build_report,
-                         eigenvalues, make_builtin, operator_norm_l2,
+                         eigenvalue_path, eigenvalues, make_builtin,
+                         operator_norm_l2,
                          power_norm_envelope, pseudospectrum_grid,
                          smallest_singular_value, spectral_radius)
 
@@ -123,15 +126,21 @@ def test_transition_eigenvalues_match_high_precision():
     # The transition matrices are strongly non-normal: at J=40 a dense
     # float64 solve is already off by 1e-5 on the radius and up to 1e-3 on
     # single eigenvalues.  mpmath at 50 digits on the exact float64
-    # entries is the independent oracle.
+    # entries is the independent oracle.  kb >= 3 takes the dense path,
+    # whose single eigenvalues carry condition number times eps (1.6e-10
+    # at kb=4); at J=20 its radius still agrees to 1e-11.
     mpmath = pytest.importorskip("mpmath")
-    for kb in (1, 2):
-        A = assemble_transition_matrix(40, LW, kb).entries
+    for J, kb, tol in ((40, 1, 1e-10), (40, 2, 1e-10), (20, 3, 1e-9),
+                       (20, 4, 1e-9)):
+        A = assemble_transition_matrix(J, LW, kb).entries
         with mpmath.workdps(50):
             ref = mpmath.eig(mpmath.matrix(A.tolist()), left=False,
                              right=False)
             ref = [complex(z) for z in ref]
-        _assert_spectra_match(eigenvalues(A), ref, 1e-10)
+        got = eigenvalues(A)
+        _assert_spectra_match(got, ref, tol)
+        assert np.max(np.abs(got)) == pytest.approx(
+            max(abs(z) for z in ref), abs=1e-11)
 
 
 def test_eigenvalue_input_validation():
@@ -141,19 +150,32 @@ def test_eigenvalue_input_validation():
         eigenvalues(np.array([[np.nan]]))
 
 
-def test_sweep_budget_raises():
-    C = np.roll(np.eye(3), 1, axis=0)  # needs at least one QR sweep
-    with pytest.raises(ConvergenceError, match="sweeps"):
-        eigenvalues(C, max_sweeps_factor=0)
+def test_dense_solver_failures_raise_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    C = np.roll(np.eye(3), 1, axis=0)  # cyclic shift: the dense path
+    assert eigenvalue_path(C) == "dense"
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(ConvergenceError, match="dense eigenvalue solve"):
+        eigenvalues(C)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    for call in (operator_norm_l2, smallest_singular_value,
+                 lambda M: power_norm_envelope(M, 2),
+                 lambda M: pseudospectrum_grid(M, resolution=2)):
+        with pytest.raises(ConvergenceError, match="singular value"):
+            call(C)
 
 
 def test_tridiagonal_solver_failure_raises_convergence_error(monkeypatch):
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    A = assemble_transition_matrix(10, LW, 1)
+    assert eigenvalue_path(A) == "tridiagonal"
     monkeypatch.setattr(np.linalg, "eigvals", fail)
     with pytest.raises(ConvergenceError, match="did not converge"):
-        eigenvalues(assemble_transition_matrix(10, LW, 1))
+        eigenvalues(A)
 
 
 def test_spectral_radius_of_triangular_transition():
@@ -161,6 +183,7 @@ def test_spectral_radius_of_triangular_transition():
     up = make_builtin("upwind", 1.0, 0.7)
     A = assemble_transition_matrix(12, up, 1)
     assert np.max(np.abs(np.triu(A.entries, k=1))) == 0.0
+    assert eigenvalue_path(A) == "triangular"
     assert spectral_radius(A) == pytest.approx(0.3, abs=1e-12)
     assert spectral_radius(np.eye(7)) == pytest.approx(1.0)
 
@@ -174,16 +197,17 @@ def test_operator_norm_matches_svd():
             float(np.linalg.svd(A, compute_uv=False)[0]), rel=1e-9)
 
 
-def test_operator_norm_details_and_warning():
+def test_operator_norm_ignores_iteration_knobs():
+    # rtol and max_iter are accepted and have no effect: no estimate is
+    # cut short and nothing warns
     A = np.diag([3.0, 1.0])
-    est = operator_norm_l2(A, return_details=True)
-    assert est.value == pytest.approx(3.0, rel=1e-12)
-    assert est.converged and est.iterations >= 1
     rng = np.random.default_rng(2)
     B = rng.uniform(-1, 1, (8, 8))
-    with pytest.warns(RuntimeWarning, match="cap"):
-        est = operator_norm_l2(B, max_iter=1, return_details=True)
-    assert not est.converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert operator_norm_l2(A) == pytest.approx(3.0, rel=1e-12)
+        assert operator_norm_l2(B, rtol=1e-3, max_iter=1) == \
+            operator_norm_l2(B)
 
 
 def test_reference_spectra_small_grid():
@@ -246,7 +270,7 @@ def test_pseudospectrum_grid_zero_matrix():
                                                      abs=1e-12)
 
 
-def test_pseudospectrum_orientation_and_normal_case():
+def test_pseudospectrum_orientation_and_normal_case(monkeypatch):
     # for a normal matrix sigma_min(zI - A) is the distance to the spectrum
     A = np.diag([0.25, -0.5])
     grid = pseudospectrum_grid(A, re_range=(-1.0, 1.0), im_range=(-1.0, 1.0),
@@ -254,6 +278,11 @@ def test_pseudospectrum_orientation_and_normal_case():
     z = complex(grid.re[4], grid.im[0])  # checks the sigma[i, k] convention
     dist = min(abs(z - 0.25), abs(z + 0.5))
     assert grid.sigma[0, 4] == pytest.approx(dist, rel=1e-9)
+    # rows split into stacks of 2, 2 and 1 shifts give the same grid
+    monkeypatch.setattr(spectral, "_STACK_ENTRIES", 8)
+    split = pseudospectrum_grid(A, re_range=(-1.0, 1.0),
+                                im_range=(-1.0, 1.0), resolution=5)
+    assert np.array_equal(split.sigma, grid.sigma)
     with pytest.raises(ValueError, match="resolution"):
         pseudospectrum_grid(A, resolution=0)
     with pytest.raises(ValueError, match="resolution"):
@@ -274,12 +303,14 @@ def test_spectral_report_validation_and_build():
     assert rep2.spectral_radius == pytest.approx(1.0)
 
 
-def test_power_iteration_handles_degenerate_starts():
+def test_operator_norm_of_matrices_with_kernels():
+    # nilpotent, and a kernel holding the all-ones vector: no start vector
+    # can fall into a kernel and understate the norm
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    est = operator_norm_l2(A, return_details=True)
-    assert est.value == pytest.approx(1.0, rel=1e-12)
-    assert math.isfinite(spectral_radius(A))
-    # the all-ones start lies in this kernel; the estimate must escape it
     K = np.array([[1.0, -1.0], [1.0, -1.0]])
-    assert operator_norm_l2(K) == pytest.approx(2.0, rel=1e-12)
-    assert operator_norm_l2(np.zeros((4, 4))) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert operator_norm_l2(A) == pytest.approx(1.0, rel=1e-12)
+        assert math.isfinite(spectral_radius(A))
+        assert operator_norm_l2(K) == pytest.approx(2.0, rel=1e-12)
+        assert operator_norm_l2(np.zeros((4, 4))) == 0.0
