@@ -11,7 +11,9 @@ prescribed boundary value, here identically zero.  The outflow ghosts
 which for ``g = 0`` is polynomial extrapolation of degree ``k_b - 1`` from
 the last interior cells (``k_b = 0`` pins the ghosts to ``g`` directly, i.e.
 a right Dirichlet condition).  The ghosts are resolved left to right so each
-one may consume those already filled.
+one may consume those already filled.  The closure is written once, as the
+integer weights of ``extrapolation_weights``: the ghost fill here, the
+solver's time march and the transition-matrix assembly all read them.
 """
 from __future__ import annotations
 
@@ -19,21 +21,31 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .state import FieldState
 
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Pairing of the inflow rule with the outflow extrapolation order."""
+    """The outflow extrapolation order; the inflow ghosts are always zero."""
 
     outflow_order_kb: int
-    inflow: str = "dirichlet_zero"
 
     def __post_init__(self) -> None:
         if self.outflow_order_kb < 0:
             raise ValueError("extrapolation order k_b must be nonnegative")
-        if self.inflow != "dirichlet_zero":
-            raise ValueError("only the homogeneous inflow condition is supported")
+
+
+def extrapolation_weights(kb: int) -> tuple[int, ...]:
+    """Integer weights ``C(kb, m) (-1)^(m+1)`` for ``m = 1..kb``.
+
+    They close the outflow: ``u_{J+ell} = g_{J+ell} + sum_m w_m u_{J+ell-m}``
+    makes the ``kb``-th backward difference at ``J+ell`` equal ``g_{J+ell}``.
+    """
+    if kb < 0:
+        raise ValueError("extrapolation order k_b must be nonnegative")
+    return tuple(math.comb(kb, m) * (-1) ** (m + 1) for m in range(1, kb + 1))
 
 
 def backward_difference(values: Sequence[float], m: int, index: int) -> float:
@@ -61,6 +73,19 @@ def fill_inflow_ghosts(state: FieldState) -> FieldState:
     return state
 
 
+def _fill_outflow(values: np.ndarray, end: int, weights: tuple[int, ...],
+                  sources: Sequence[float] | None) -> None:
+    """Fill ``values[end:]``, the outflow ghosts of a plain level array, in
+    place from the closure ``weights``, left to right so that each ghost
+    reads the ones before it; ``sources`` holds their ``g`` (zeros when
+    omitted)."""
+    for q in range(len(values) - end):
+        acc = float(sources[q]) if sources is not None else 0.0
+        for m, w in enumerate(weights, 1):
+            acc += w * values[end + q - m]
+        values[end + q] = acc
+
+
 def fill_outflow_ghosts(state: FieldState, kb: int,
                         sources: Sequence[float] | None = None) -> FieldState:
     """Fill the right ghosts so ``(D_-^kb u)_{J+ell} = g_{J+ell}`` (in place).
@@ -71,18 +96,12 @@ def fill_outflow_ghosts(state: FieldState, kb: int,
 
         u_{J+ell} = g_{J+ell} + sum_{m=1}^{kb} C(kb, m) (-1)^(m+1) u_{J+ell-m}.
     """
-    if kb < 0:
-        raise ValueError("extrapolation order k_b must be nonnegative")
+    weights = extrapolation_weights(kb)
     if state.J < kb:
         raise ValueError(
             f"need at least k_b = {kb} interior cells to extrapolate, have {state.J}"
         )
     if sources is not None and len(sources) < state.p:
         raise ValueError(f"need {state.p} outflow sources, got {len(sources)}")
-    for ell in range(1, state.p + 1):
-        g = float(sources[ell - 1]) if sources is not None else 0.0
-        acc = g
-        for m in range(1, kb + 1):
-            acc += math.comb(kb, m) * (-1) ** (m + 1) * state.get(state.J + ell - m)
-        state.set(state.J + ell, acc)
+    _fill_outflow(state.values, state.r + state.J, weights, sources)
     return state

@@ -14,6 +14,15 @@ Two state semantics are supported throughout and selected by ``convention``:
 - ``"cell_average"``: cell values are exact cell averages, errors are measured
   against exact averages of the shifted datum.
 
+Both runs share one march over plain level arrays.  It copies the levels
+into a block buffer of at most ``_BLOCK_ENTRIES`` cells, and each full block
+is measured at once: one broadcast call evaluates the reference values of
+all its time levels (one row per level), and the error norms, masses,
+energies and boundary traces are read from the block.  Re-measuring a
+recorded history in another convention goes through the same per-block
+evaluation.  The arithmetic of every level and every norm is the one a loop
+of ``step`` calls would do, so the results do not depend on the block size.
+
 Reported error tables use the midpoint convention with the sup-over-steps
 statistic; both statistics are always emitted so the choice stays visible.
 """
@@ -25,13 +34,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .boundary import BoundarySpec, fill_inflow_ghosts, fill_outflow_ghosts
+from .boundary import (BoundarySpec, _fill_outflow, extrapolation_weights,
+                       fill_inflow_ghosts, fill_outflow_ghosts)
 from .scheme import SchemeStencil
 from .state import FieldState
 
 CONVENTIONS = ("midpoint", "cell_average")
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+# Cells of one block of time levels measured together.  The block and the
+# reference-value temporaries built from it add to the peak memory of a run,
+# so the cap stays small.
+_BLOCK_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -106,7 +121,9 @@ class PowerPlusDatum:
 class CallableDatum:
     """Wrap an arbitrary vectorized profile ``fn``.
 
-    Cell averages fall back to 16-point Gauss-Legendre quadrature per cell.
+    ``fn`` must be elementwise: the solvers call it on 2-D arrays (one row
+    per time level) and expect an array of the same shape back.  Cell
+    averages fall back to 16-point Gauss-Legendre quadrature per cell.
     ``support_min`` (leftmost point of the support) is needed by the
     half-line driver to validate window padding.
     """
@@ -146,24 +163,31 @@ def exact_solution(datum, x, t: float, a: float):
     return vals
 
 
-def _gated_cell_averages(datum, grid: GridSpec, shift: float) -> np.ndarray:
-    """Exact averages of the zero-extended shifted datum over cells 1..J."""
+def _gated_cell_averages(datum, grid: GridSpec, shift) -> np.ndarray:
+    """Exact averages of the zero-extended shifted datum over cells 1..J
+    (one row per shift when ``shift`` is a column of shifts)."""
     lo = grid.cell_edges[:-1] - shift
     hi = grid.cell_edges[1:] - shift
     if isinstance(datum, PowerPlusDatum) and datum.c >= 0.0:
         return datum.cell_average(lo, hi)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    acc = np.zeros(grid.J)
+    acc = np.zeros(lo.shape)
     for node, w in zip(_GL_NODES, _GL_WEIGHTS):
         xs = mid + half * node
         acc = acc + w * np.where(xs > 0.0, datum(xs), 0.0)
     return 0.5 * acc
 
 
-def reference_values(datum, grid: GridSpec, t: float, a: float,
+def reference_values(datum, grid: GridSpec, t, a: float,
                      convention: str) -> np.ndarray:
-    """Per-cell reference (exact-solution) values in the given convention."""
+    """Per-cell reference (exact-solution) values in the given convention.
+
+    ``t`` is one time, giving a length-``J`` array, or a 1-D array of
+    times, giving one row per time.
+    """
+    if np.ndim(t) == 1:
+        t = np.asarray(t, dtype=float)[:, None]
     if convention == "midpoint":
         return exact_solution(datum, grid.cell_midpoints, t, a)
     if convention == "cell_average":
@@ -195,6 +219,19 @@ def initial_state(datum, grid: GridSpec, stencil: SchemeStencil,
     raise ValueError(f"unknown convention {convention!r}")
 
 
+def _next_level(coeffs: Sequence[float], r: int, p: int,
+                v: np.ndarray) -> np.ndarray:
+    """The stencil applied to the filled level ``v``: a new level array
+    with zero ghosts and interior ``sum_ell c_ell v[j + ell]``, accumulated
+    from zero for ``ell = -r..p`` in order."""
+    new = np.zeros(len(v))
+    J = len(v) - r - p
+    acc = new[r:r + J]
+    for i, c in enumerate(coeffs):
+        acc += c * v[i:i + J]
+    return new
+
+
 def step(state: FieldState, stencil: SchemeStencil, bc: BoundarySpec,
          sources: Sequence[float] | None = None) -> FieldState:
     """One explicit update: fill ghosts on ``state``, then apply the stencil.
@@ -206,14 +243,57 @@ def step(state: FieldState, stencil: SchemeStencil, bc: BoundarySpec,
         raise ValueError("grid too small for the requested boundary closure")
     fill_inflow_ghosts(state)
     fill_outflow_ghosts(state, bc.outflow_order_kb, sources)
-    v = state.values
-    r, J = state.r, state.J
-    new = FieldState(J=J, r=r, p=state.p, time_index=state.time_index + 1)
-    acc = np.zeros(J)
-    for ell, c in zip(range(-r, state.p + 1), stencil.coeffs):
-        acc += c * v[r + ell:r + J + ell]
-    new.interior[:] = acc
-    return new
+    return FieldState(J=state.J, r=state.r, p=state.p,
+                      time_index=state.time_index + 1,
+                      values=_next_level(stencil.coeffs, state.r, state.p,
+                                         state.values))
+
+
+def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
+           observe: Callable[[int, np.ndarray], None] | None = None,
+           sources: np.ndarray | None = None,
+           fill_final: bool = False) -> np.ndarray:
+    """Advance the level array ``v`` (cells ``1-r..J+p``, zero inflow
+    ghosts) by ``N`` steps and return the last level.
+
+    Before each step the outflow ghosts of the current level are filled
+    once, from ``sources[n]`` at level ``n`` when given; the last level's
+    ghosts are filled only with ``fill_final``.  ``observe(n0, levels)``
+    receives the levels ``n0, n0+1, ...`` (ghosts as filled) in blocks of
+    at most ``_BLOCK_ENTRIES`` cells.
+    """
+    r, p = stencil.r, stencil.p
+    end = len(v) - p  # array position of the first outflow ghost
+    if N > 0 and end - r < kb:
+        raise ValueError("grid too small for the requested boundary closure")
+    weights = extrapolation_weights(kb)
+    block = None
+    if observe is not None:
+        rows = max(1, min(N + 1, _BLOCK_ENTRIES // len(v)))
+        block = np.empty((rows, len(v)))
+    n0 = 0
+    for n in range(N + 1):
+        if n < N or fill_final:
+            _fill_outflow(v, end, weights,
+                          sources[n] if sources is not None else None)
+        if block is not None:
+            block[n - n0] = v
+            if n - n0 + 1 == len(block) or n == N:
+                observe(n0, block[:n - n0 + 1])
+                n0 = n + 1
+        if n < N:
+            v = _next_level(stencil.coeffs, r, p, v)
+    return v
+
+
+def _block_errors(u: np.ndarray, ref: np.ndarray, dx: float,
+                  linf: np.ndarray, l2: np.ndarray) -> None:
+    """l-infinity and l2 errors of the rows of ``u`` against ``ref``,
+    written into ``linf`` and ``l2``."""
+    err = u - ref
+    linf[:] = np.max(np.abs(err), axis=1)
+    for i, e in enumerate(err):
+        l2[i] = math.sqrt(dx * float(np.dot(e, e)))
 
 
 def n_steps(T: float, dt: float) -> int:
@@ -256,34 +336,45 @@ def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
         raise ValueError(f"unknown record mode {record!r}")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    a = stencil.velocity_a
     N = n_steps(T, grid.dt)
     state = initial_state(datum, grid, stencil, convention)
+    r, J = stencil.r, grid.J
 
     track = record != "final"
     linf_hist = np.zeros(N + 1) if track else None
     l2_hist = np.zeros(N + 1) if track else None
-    history = [state.copy()] if record == "full_history" else None
+    history = [] if record == "full_history" else None
 
-    def measure(s: FieldState, n: int) -> None:
-        ref = reference_values(datum, grid, n * grid.dt, a, convention)
-        err = s.interior - ref
-        linf_hist[n] = np.max(np.abs(err)) if len(err) else 0.0
-        l2_hist[n] = math.sqrt(grid.dx * float(np.dot(err, err)))
-
-    if track:
-        measure(state, 0)
-    for n in range(1, N + 1):
-        state = step(state, stencil, bc)
-        if track:
-            measure(state, n)
+    def observe(n0: int, block: np.ndarray) -> None:
+        n1 = n0 + len(block)
+        u = block[:, r:r + J]
+        _measure_levels(u, n0, datum, grid, stencil.velocity_a, convention,
+                        linf_hist[n0:n1], l2_hist[n0:n1])
         if history is not None:
-            history.append(state.copy())
+            for n, row in enumerate(u, n0):
+                level = FieldState(J=J, r=r, p=stencil.p, time_index=n)
+                level.interior[:] = row
+                history.append(level)
+
+    final = _march(state.values, stencil, bc.outflow_order_kb, N,
+                   observe if track else None)
     return RunResult(grid=grid, stencil=stencil, bc=bc, datum=datum,
                      convention=convention, record=record, n_steps=N,
-                     t_final=N * grid.dt, final_state=state,
+                     t_final=N * grid.dt,
+                     final_state=FieldState(J=J, r=r, p=stencil.p,
+                                            time_index=N, values=final),
                      linf_history=linf_hist, l2_history=l2_hist,
                      history=history)
+
+
+def _measure_levels(u: np.ndarray, n0: int, datum, grid: GridSpec, a: float,
+                    convention: str, linf: np.ndarray,
+                    l2: np.ndarray) -> None:
+    """Errors of the interval levels ``n0, n0+1, ...`` (rows of ``u``)
+    against one broadcast evaluation of their reference values."""
+    times = np.arange(n0, n0 + len(u)) * grid.dt
+    ref = reference_values(datum, grid, times, a, convention)
+    _block_errors(u, ref, grid.dx, linf, l2)
 
 
 @dataclass(frozen=True)
@@ -310,18 +401,21 @@ def error_metrics(run: RunResult, datum=None, a: float | None = None,
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     grid = run.grid
+    as_recorded = (datum is run.datum and a == run.stencil.velocity_a
+                   and convention == run.convention)
 
-    if convention == run.convention and run.linf_history is not None:
+    if as_recorded and run.linf_history is not None:
         linf_hist, l2_hist = run.linf_history, run.l2_history
     elif run.history is not None:
         linf_hist = np.zeros(run.n_steps + 1)
         l2_hist = np.zeros(run.n_steps + 1)
-        for n, s in enumerate(run.history):
-            ref = reference_values(datum, grid, n * grid.dt, a, convention)
-            err = s.interior - ref
-            linf_hist[n] = np.max(np.abs(err))
-            l2_hist[n] = math.sqrt(grid.dx * float(np.dot(err, err)))
-    elif convention == run.convention:
+        rows = max(1, _BLOCK_ENTRIES // grid.J)
+        for n0 in range(0, run.n_steps + 1, rows):
+            n1 = min(n0 + rows, run.n_steps + 1)
+            u = np.array([s.interior for s in run.history[n0:n1]])
+            _measure_levels(u, n0, datum, grid, a, convention,
+                            linf_hist[n0:n1], l2_hist[n0:n1])
+    elif run.record == "final" and convention == run.convention:
         ref = reference_values(datum, grid, run.t_final, a, convention)
         err = run.final_state.interior - ref
         return ErrorReport(convention=convention,
@@ -330,8 +424,9 @@ def error_metrics(run: RunResult, datum=None, a: float | None = None,
                            linf_sup=None, l2_sup=None, sup_at_step=None)
     else:
         raise ValueError(
-            "run did not record enough history for convention "
-            f"{convention!r}; rerun with record='full_history'"
+            "run did not record enough history to measure it against another "
+            f"datum, velocity or convention {convention!r}; rerun with "
+            "record='full_history'"
         )
     k = int(np.argmax(linf_hist))
     return ErrorReport(convention=convention,
@@ -472,11 +567,12 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
         if sources.shape != (steps + 1, p):
             raise ValueError(f"sources must have shape ({steps + 1}, {p})")
 
-    a = stencil.velocity_a
+    a, dx, dt = stencil.velocity_a, grid.dx, grid.dt
     state = initial_state(datum, grid, stencil, convention)
     f0 = state.interior.copy()
+    mids, edges = grid.cell_midpoints, grid.cell_edges
 
-    trace_lo = grid.J + 1 - r - kb
+    lo = grid.J - kb  # array position of cell J+1-r-kb
     n_trace = r + kb + p
     traces = np.zeros((steps + 1, n_trace))
     masses = np.zeros(steps + 1)
@@ -484,32 +580,27 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
     linf_hist = np.zeros(steps + 1)
     l2_hist = np.zeros(steps + 1)
 
-    def ref(n: int) -> np.ndarray:
+    def observe(n0: int, block: np.ndarray) -> None:
+        n1 = n0 + len(block)
+        traces[n0:n1] = block[:, lo:lo + n_trace]
+        u = block[:, r:r + grid.J]
+        for n, row in enumerate(u, n0):
+            masses[n] = dx * float(np.sum(row))
+            energies[n] = dx * float(np.dot(row, row))
+        shift = ((a * np.arange(n0, n1)) * dt)[:, None]
         if convention == "midpoint":
-            return datum(grid.cell_midpoints - a * n * grid.dt)
-        return datum.cell_average(grid.cell_edges[:-1] - a * n * grid.dt,
-                                  grid.cell_edges[1:] - a * n * grid.dt)
+            ref = datum(mids - shift)
+        else:
+            ref = datum.cell_average(edges[:-1] - shift, edges[1:] - shift)
+        _block_errors(u, ref, dx, linf_hist[n0:n1], l2_hist[n0:n1])
 
-    def observe(n: int) -> None:
-        fill_inflow_ghosts(state)
-        g = sources[n] if sources is not None else None
-        fill_outflow_ghosts(state, kb, g)
-        lo = trace_lo + r - 1  # array position of cell J+1-r-kb
-        traces[n, :] = state.values[lo:lo + n_trace]
-        masses[n] = grid.dx * float(np.sum(state.interior))
-        energies[n] = grid.dx * float(np.dot(state.interior, state.interior))
-        err = state.interior - ref(n)
-        linf_hist[n] = float(np.max(np.abs(err)))
-        l2_hist[n] = math.sqrt(grid.dx * float(np.dot(err, err)))
-
-    bc = BoundarySpec(outflow_order_kb=kb)
-    observe(0)
-    for n in range(1, steps + 1):
-        g = sources[n - 1] if sources is not None else None
-        state = step(state, stencil, bc, sources=g)
-        observe(n)
+    final = _march(state.values, stencil, kb, steps, observe,
+                   sources=sources, fill_final=True)
     return HalflineResult(grid=grid, stencil=stencil, kb=kb, steps=steps,
-                          convention=convention, final_state=state,
+                          convention=convention,
+                          final_state=FieldState(J=grid.J, r=r, p=p,
+                                                 time_index=steps,
+                                                 values=final),
                           initial_interior=f0, traces=traces, masses=masses,
                           energies=energies, linf_history=linf_hist,
                           l2_history=l2_hist, sources=sources)

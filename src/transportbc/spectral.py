@@ -23,11 +23,11 @@ LAA 162, 1992).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .boundary import extrapolation_weights
 from .scheme import SchemeStencil
 
 # Complex entries in one stacked SVD of the pseudospectrum grid (16 MB): a
@@ -80,11 +80,11 @@ class SpectralReport:
 
 def _ghost_weights(J: int, stencil: SchemeStencil, kb: int) -> list[np.ndarray]:
     """Row vectors expressing ghost cells J+1..J+p in interior cells 1..J."""
+    closure = extrapolation_weights(kb)
     weights: list[np.ndarray] = []
     for q in range(1, stencil.p + 1):
         w = np.zeros(J)
-        for m in range(1, kb + 1):
-            c = math.comb(kb, m) * (-1.0) ** (m + 1)
+        for m, c in enumerate(closure, 1):
             src = q - m  # cell J + q - m
             if src >= 1:
                 w += c * weights[src - 1]

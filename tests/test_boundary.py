@@ -5,6 +5,7 @@ import pytest
 
 from transportbc import (BoundarySpec, FieldState, backward_difference,
                          fill_inflow_ghosts, fill_outflow_ghosts)
+from transportbc.boundary import extrapolation_weights
 
 from _reference import naive_backward_difference
 
@@ -13,7 +14,7 @@ def test_boundary_spec_validation():
     BoundarySpec(outflow_order_kb=0)
     with pytest.raises(ValueError):
         BoundarySpec(outflow_order_kb=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the inflow rule is not a parameter
         BoundarySpec(outflow_order_kb=1, inflow="periodic")
 
 
@@ -131,3 +132,7 @@ def test_binomial_weights_match_comb():
     expected = sum(math.comb(3, m) * (-1.0) ** (m + 1) * vals[5 - m]
                    for m in range(1, 4))
     assert state.right_ghosts[0] == pytest.approx(expected)
+    assert extrapolation_weights(3) == (3, -3, 1)
+    assert extrapolation_weights(0) == ()
+    with pytest.raises(ValueError):
+        extrapolation_weights(-1)

@@ -6,10 +6,11 @@ import pytest
 from transportbc import (BoundarySpec, CallableDatum, FieldState, GridSpec,
                          PowerPlusDatum, SchemeStencil,
                          consistency_error_field, convergence_study,
-                         error_metrics, exact_solution, initial_state,
-                         make_builtin, n_steps, project_initial,
-                         reference_values, run_halfline_outflow, run_interval,
-                         sample_initial, stability_functional_ratio, step)
+                         error_metrics, exact_solution, fill_inflow_ghosts,
+                         fill_outflow_ghosts, initial_state, make_builtin,
+                         n_steps, project_initial, reference_values,
+                         run_halfline_outflow, run_interval, sample_initial,
+                         solver, stability_functional_ratio, step)
 
 from _reference import REFERENCE_SUP_ERRORS, naive_run
 
@@ -169,6 +170,32 @@ def test_error_metrics_and_history_requirements():
     rep_avg = error_metrics(full, convention="cell_average")
     assert rep_avg.convention == "cell_average"
     assert rep_avg.linf_sup > 0.0
+
+
+def test_error_metrics_honours_explicit_datum_and_velocity():
+    # an explicit datum= or a= must be measured against, not answered with
+    # the errors recorded for the run's own datum and velocity
+    grid = GridSpec(L=1.0, J=40, lam=0.7)
+    d = PowerPlusDatum(0.5, 3.0)
+    other = PowerPlusDatum(0.2, 1.0)
+    full = run_interval(d, grid, LW, BoundarySpec(1), 0.5,
+                        record="full_history")
+    own = error_metrics(full).linf_sup
+    for kwargs, a, datum in (({"datum": other}, 1.0, other),
+                             ({"a": 3.0}, 3.0, d)):
+        got = error_metrics(full, **kwargs)
+        errs = [float(np.max(np.abs(
+            s.interior - reference_values(datum, grid, n * grid.dt, a,
+                                          "midpoint"))))
+                for n, s in enumerate(full.history)]
+        assert got.linf_sup == max(errs) != own
+        assert got.linf_final == errs[-1]
+    # the run's own datum and velocity, passed explicitly, reuse the record
+    assert error_metrics(full, datum=d, a=1.0).linf_sup == own
+    sup = run_interval(d, grid, LW, BoundarySpec(1), 0.5, record="sup")
+    for kwargs in ({"datum": other}, {"a": 3.0}):
+        with pytest.raises(ValueError, match="full_history"):
+            error_metrics(sup, **kwargs)
 
 
 def test_reference_error_tables():
@@ -334,3 +361,147 @@ def test_stability_functional_formula():
     assert out.ratio == pytest.approx(out.lhs / out.rhs, rel=1e-12)
     with pytest.raises(ValueError):
         stability_functional_ratio(res, 0.0)
+
+
+# -- the march against a loop of public step() calls -------------------------
+
+WIDE = SchemeStencil(r=2, p=2, coeffs=(0.05, 0.4, 0.35, 0.25, -0.05),
+                     velocity_a=1.3, lam=0.5)
+MARCH_STENCILS = [make_builtin(name, 1.25, 0.6) for name in
+                  ("upwind", "lax_friedrichs", "lax_wendroff")] + [WIDE]
+
+
+def _stepped_interval(datum, grid, st, kb, T, record, convention):
+    """run_interval's arrays, from one step() call per level."""
+    a, N = st.velocity_a, n_steps(T, grid.dt)
+    state = initial_state(datum, grid, st, convention)
+    history, linf, l2 = [], np.zeros(N + 1), np.zeros(N + 1)
+    for n in range(N + 1):
+        if n:
+            state = step(state, st, BoundarySpec(kb))
+        history.append(state.copy())
+        err = state.interior - reference_values(datum, grid, n * grid.dt, a,
+                                                convention)
+        linf[n] = np.max(np.abs(err))
+        l2[n] = math.sqrt(grid.dx * float(np.dot(err, err)))
+    if record == "final":
+        return state, None, None, None
+    return (state, linf, l2,
+            history if record == "full_history" else None)
+
+
+def _stepped_halfline(datum, grid, st, kb, steps, sources, convention):
+    """run_halfline_outflow's arrays, from one step() call per level."""
+    a, r, J = st.velocity_a, st.r, grid.J
+    state = initial_state(datum, grid, st, convention)
+    f0 = state.interior.copy()
+    lo, width = J - kb, r + kb + st.p
+    traces = np.zeros((steps + 1, width))
+    masses, energies, linf, l2 = (np.zeros(steps + 1) for _ in range(4))
+    g = (lambda n: None) if sources is None else (lambda n: sources[n])
+    for n in range(steps + 1):
+        if n:
+            state = step(state, st, BoundarySpec(kb), sources=g(n - 1))
+        fill_inflow_ghosts(state)
+        fill_outflow_ghosts(state, kb, g(n))
+        traces[n] = state.values[lo:lo + width]
+        u = state.interior
+        masses[n] = grid.dx * float(np.sum(u))
+        energies[n] = grid.dx * float(np.dot(u, u))
+        shift = a * n * grid.dt
+        if convention == "midpoint":
+            ref = datum(grid.cell_midpoints - shift)
+        else:
+            ref = datum.cell_average(grid.cell_edges[:-1] - shift,
+                                     grid.cell_edges[1:] - shift)
+        err = u - ref
+        linf[n] = np.max(np.abs(err))
+        l2[n] = math.sqrt(grid.dx * float(np.dot(err, err)))
+    return state, f0, traces, masses, energies, linf, l2
+
+
+def _same(got, want):
+    if want is None:
+        return got is None
+    return np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("st", MARCH_STENCILS,
+                         ids=["upwind", "lax_friedrichs", "lax_wendroff",
+                              "wide"])
+def test_interval_march_matches_stepped_runs(st):
+    grid = GridSpec(L=1.0, J=23, lam=st.lam)
+    cases = [(d, kb, conv, rec)
+             for d in (PowerPlusDatum(0.5, 2.5), PowerPlusDatum(-0.2, 2.0),
+                       _bump(0.3, 0.4))
+             for kb in range(4) for conv in ("midpoint", "cell_average")
+             for rec in ("final", "sup_error", "full_history")]
+    for d, kb, conv, rec in cases:
+        run = run_interval(d, grid, st, BoundarySpec(kb), 0.6, record=rec,
+                           convention=conv)
+        state, linf, l2, history = _stepped_interval(d, grid, st, kb, 0.6,
+                                                     rec, conv)
+        case = (d, kb, conv, rec)
+        assert np.array_equal(run.final_state.values, state.values), case
+        assert run.final_state.time_index == state.time_index, case
+        assert _same(run.linf_history, linf), case
+        assert _same(run.l2_history, l2), case
+        if history is None:
+            assert run.history is None, case
+            continue
+        assert [s.time_index for s in run.history] == \
+            [s.time_index for s in history], case
+        assert np.array_equal([s.values for s in run.history],
+                              [s.values for s in history]), case
+
+
+@pytest.mark.parametrize("st", MARCH_STENCILS,
+                         ids=["upwind", "lax_friedrichs", "lax_wendroff",
+                              "wide"])
+def test_halfline_march_matches_stepped_runs(st):
+    grid = GridSpec(L=1.0, J=30, lam=st.lam)
+    rng = np.random.default_rng(17)
+    steps = 7
+    for d in (PowerPlusDatum(0.55, 2.5), _bump(0.6, 0.3)):
+        for kb in range(4):
+            for conv in ("midpoint", "cell_average"):
+                for sources in (None, rng.uniform(-0.5, 0.5,
+                                                  (steps + 1, st.p))):
+                    res = run_halfline_outflow(d, grid, st, kb, steps,
+                                               sources=sources,
+                                               convention=conv)
+                    want = _stepped_halfline(d, grid, st, kb, steps,
+                                             sources, conv)
+                    got = (res.final_state, res.initial_interior, res.traces,
+                           res.masses, res.energies, res.linf_history,
+                           res.l2_history)
+                    case = (d, kb, conv, sources is None)
+                    assert np.array_equal(got[0].values, want[0].values), \
+                        case
+                    for g, w in zip(got[1:], want[1:]):
+                        assert np.array_equal(g, w), case
+
+
+def test_march_results_do_not_depend_on_block_size(monkeypatch):
+    # one level per block, and the whole run in one block, give the same
+    # arrays as the default blocks
+    grid = GridSpec(L=1.0, J=160, lam=0.7)
+    d = PowerPlusDatum(0.5, 2.6)
+
+    def arrays():
+        full = run_interval(d, grid, LW, BoundarySpec(2), 0.5,
+                            record="full_history", convention="cell_average")
+        rep = error_metrics(full, convention="midpoint")
+        half = run_halfline_outflow(_bump(0.6, 0.3), grid, LW, 1, steps=60)
+        return [full.final_state.values, full.linf_history, full.l2_history,
+                np.array([s.values for s in full.history]),
+                np.array([rep.linf_sup, rep.l2_sup, rep.linf_final]),
+                half.final_state.values, half.traces, half.masses,
+                half.energies, half.linf_history, half.l2_history]
+
+    default = arrays()
+    assert 160 * 115 > solver._BLOCK_ENTRIES  # the default splits the runs
+    for entries in (1, 2 ** 30):
+        monkeypatch.setattr(solver, "_BLOCK_ENTRIES", entries)
+        for got, want in zip(arrays(), default):
+            assert np.array_equal(got, want), entries
