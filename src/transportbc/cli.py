@@ -242,6 +242,8 @@ def cmd_spectral(args) -> int:
 
 def cmd_energy_check(args) -> int:
     stencil = _resolve_stencil(args, enforce_cfl=False)
+    if args.trials < 0:
+        raise ValueError("--trials must be nonnegative")
     gen = Xoshiro256StarStar(args.seed)
     stab = check_l2_stability(stencil)
     max_residual = 0.0

@@ -171,6 +171,26 @@ def test_energy_check_unstable_note(capsys):
     assert "FAIL" not in out
 
 
+def test_energy_check_rejects_negative_trials(capsys):
+    assert main(["energy-check", "--trials", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err
+    assert captured.out == ""
+
+
+def test_non_finite_inputs_rejected(capsys):
+    for argv in (["run", "--J", "4", "--L", "inf"],
+                 ["run", "--J", "10", "--datum", "power:nan:2"],
+                 ["run", "--J", "10", "--datum", "power:0.5:inf"],
+                 ["convergence", "--J-list", "10,20", "--T", "inf"],
+                 ["run", "--J", "10", "--T", "nan"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: "), argv
+        assert "finite" in captured.err, argv
+
+
 def test_unknown_datum_rejected(capsys):
     assert main(["run", "--J", "10", "--datum", "u99"]) == 1
     assert "unknown datum" in capsys.readouterr().err
@@ -210,6 +230,21 @@ def test_console_script_entry_point():
                            "--lambda", "1.1"],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1, proc.stderr
+
+
+def test_module_entry_point():
+    # ``python -m transportbc`` runs the CLI from a checkout, no install
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(transportbc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "transportbc", "verify"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "all checks passed" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "transportbc", "verify",
+                           "--lambda", "1.1"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1, proc.stderr
+    assert "UNSTABLE" in proc.stdout
 
 
 @pytest.mark.skipif(shutil.which("transportbc") is None,

@@ -30,6 +30,22 @@ def test_grid_spec_derived_quantities():
         GridSpec(L=1.0, J=0, lam=0.5)
 
 
+def test_non_finite_inputs_rejected():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(L=bad, J=10, lam=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            PowerPlusDatum(bad, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            PowerPlusDatum(0.5, bad)
+        with pytest.raises(ValueError, match="finite"):
+            n_steps(bad, 0.0175)
+    with pytest.raises(ValueError, match="finite"):
+        PowerPlusDatum(-math.inf, 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        n_steps(-math.inf, 0.0175)
+
+
 def test_power_datum_values_and_averages():
     d = PowerPlusDatum(0.5, 3.0)
     assert d(0.4) == 0.0
@@ -45,6 +61,82 @@ def test_power_datum_values_and_averages():
         quad.cell_average(xl, xr), rel=1e-12, abs=1e-14)
     with pytest.raises(ValueError):
         PowerPlusDatum(0.5, 0.0)
+
+
+def _plain_power(x, c, alpha):
+    return np.maximum(np.asarray(x, dtype=float) - c, 0.0) ** alpha
+
+
+def _plain_average(lo, hi, c, alpha, gate=False):
+    """Closed-form average, or for a gated datum with c < 0 the 16-point
+    Gauss average of the datum cut to zero at x <= 0."""
+    if not gate or c >= 0.0:
+        big = _plain_power(hi, c, alpha + 1.0) / (alpha + 1.0)
+        small = _plain_power(lo, c, alpha + 1.0) / (alpha + 1.0)
+        return (big - small) / (hi - lo)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    acc = np.zeros(np.shape(mid))
+    for node, w in zip(nodes, weights):
+        xs = mid + half * node
+        acc = acc + w * np.where(xs > 0.0, _plain_power(xs, c, alpha), 0.0)
+    return 0.5 * acc
+
+
+def test_power_datum_arithmetic_matches_plain_formulas():
+    # mostly zero bases (left of the support), a NaN coordinate, 1-D and
+    # 2-D inputs; every value must be the plain formula's, bit for bit
+    x = np.linspace(-1.0, 1.2, 301)
+    x[17] = np.nan
+    shifts = np.linspace(0.0, 0.4, 7)[:, None]
+    grid = GridSpec(L=1.0, J=53, lam=0.7)
+    times = np.arange(9) * grid.dt
+    a = 1.1
+    for c in (-0.2, 0.0, 0.5):
+        for alpha in (2.0, 3.0, 2.6, 0.5):
+            d = PowerPlusDatum(c, alpha)
+            case = (c, alpha)
+            for xx in (x, x - shifts):
+                assert np.array_equal(d(xx), _plain_power(xx, c, alpha),
+                                      equal_nan=True), case
+                assert np.array_equal(
+                    d.antiderivative(xx),
+                    _plain_power(xx, c, alpha + 1.0) / (alpha + 1.0),
+                    equal_nan=True), case
+                lo, hi = xx[..., :-1], xx[..., 1:]
+                assert np.array_equal(d.cell_average(lo, hi),
+                                      _plain_average(lo, hi, c, alpha),
+                                      equal_nan=True), case
+                plain = _plain_power(xx - 0.3 * a, c, alpha)
+                if c < 0.0:
+                    plain = np.where(xx - 0.3 * a > 0.0, plain, 0.0)
+                assert np.array_equal(exact_solution(d, xx, 0.3, a), plain,
+                                      equal_nan=True), case
+            assert np.isnan(d(x)[17]) and np.isnan(d.antiderivative(x)[17])
+            mids = grid.cell_midpoints - a * times[:, None]
+            want = _plain_power(mids, c, alpha)
+            if c < 0.0:
+                want = np.where(mids > 0.0, want, 0.0)
+            assert np.array_equal(
+                reference_values(d, grid, times, a, "midpoint"), want), case
+            lo = grid.cell_edges[:-1] - a * times[:, None]
+            hi = grid.cell_edges[1:] - a * times[:, None]
+            want = _plain_average(lo, hi, c, alpha, gate=True)
+            assert np.array_equal(
+                reference_values(d, grid, times, a, "cell_average"),
+                want), case
+            assert np.array_equal(
+                reference_values(d, grid, times[3], a, "cell_average"),
+                want[3]), case
+            # scalars in, numpy scalars out
+            for xs in (0.1, 0.9, math.nan):
+                got = d(xs)
+                assert isinstance(got, np.float64), case
+                assert np.array_equal(got, _plain_power(xs, c, alpha),
+                                      equal_nan=True), case
+                assert isinstance(d.antiderivative(xs), np.float64), case
+            assert exact_solution(d, 1.0, 0.3, a) == float(
+                _plain_power(1.0 - 0.3 * a, c, alpha))
 
 
 def test_callable_datum_average_exact_on_polynomials():
@@ -480,6 +572,27 @@ def test_halfline_march_matches_stepped_runs(st):
                         case
                     for g, w in zip(got[1:], want[1:]):
                         assert np.array_equal(g, w), case
+
+
+def test_wide_block_norms_match_per_row_sums():
+    # J = 2560 rows reach the wide BLAS kernels: the whole-block l2 norms,
+    # masses and energies must equal per-row np.dot and np.sum bit for bit
+    grid = GridSpec(L=1.0, J=2560, lam=LW.lam)
+    assert solver._BLOCK_ENTRIES // (grid.J + LW.r + LW.p) > 1  # several rows
+    for d in (PowerPlusDatum(0.5, 2.6), _bump(0.6, 0.3)):
+        for conv in ("midpoint", "cell_average"):
+            run = run_interval(d, grid, LW, BoundarySpec(2), 0.02,
+                               record="sup_error", convention=conv)
+            _, linf, l2, _ = _stepped_interval(d, grid, LW, 2, 0.02,
+                                               "sup_error", conv)
+            assert np.array_equal(run.linf_history, linf), (d, conv)
+            assert np.array_equal(run.l2_history, l2), (d, conv)
+            res = run_halfline_outflow(d, grid, LW, 1, 20, convention=conv)
+            want = _stepped_halfline(d, grid, LW, 1, 20, None, conv)
+            got = (res.masses, res.energies, res.linf_history,
+                   res.l2_history)
+            for g, w in zip(got, want[3:]):
+                assert np.array_equal(g, w), (d, conv)
 
 
 def test_march_results_do_not_depend_on_block_size(monkeypatch):
