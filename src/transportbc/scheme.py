@@ -47,11 +47,14 @@ class SchemeStencil:
                 f"expected {self.r + self.p + 1} coefficients for r={self.r}, "
                 f"p={self.p}, got {len(self.coeffs)}"
             )
-        if not self.velocity_a > 0:
-            raise ValueError("velocity must be positive")
-        if not self.lam > 0:
-            raise ValueError("time-step ratio lam must be positive")
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not (self.velocity_a > 0 and math.isfinite(self.velocity_a)):
+            raise ValueError("velocity must be positive and finite")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ValueError("time-step ratio lam must be positive and finite")
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError("stencil coefficients must be finite")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, ell: int) -> float:
         """Weight of the offset ``ell`` in ``-r..p``."""

@@ -14,17 +14,24 @@ Two state semantics are supported throughout and selected by ``convention``:
 - ``"cell_average"``: cell values are exact cell averages, errors are measured
   against exact averages of the shifted datum.
 
-Both runs share one march over plain level arrays.  It copies the levels
-into a block buffer of at most ``_BLOCK_ENTRIES`` cells, and each full block
-is measured at once: one broadcast call evaluates the reference values of
-all its time levels (one row per level), and the error norms, masses,
-energies and boundary traces are computed one block at a time, each in a
-few whole-block calls (the l2 norms and energies as one stacked product of
-every row with itself).  Re-measuring a recorded history in another
-convention goes through the same per-block evaluation.  The arithmetic of
-every level and every norm is the one a loop of ``step`` calls would do, so
-the results do not depend on the block size.  The power datum is raised to
-its power only on its support, where the base is nonzero.
+Both runs share one march over a block buffer of at most
+``_BLOCK_ENTRIES`` cells, one row per time level.  Each new level is
+written in place into the next row: its interior is one ``np.correlate``
+of the row before with the stencil coefficients, its inflow ghosts stay
+zero and its outflow ghosts are filled in the row.  ``np.correlate`` takes
+each cell as one BLAS dot, which sums in order from zero only for short
+vectors, so stencils wider than ``_CORRELATE_WIDTH`` keep an ordered loop
+of multiply-adds; either way every level has the bits of that loop.  Each
+full block is measured at once: one broadcast call evaluates the reference
+values of all its time levels (one row per level), and the error norms,
+masses, energies and boundary traces are computed one block at a time,
+each in a few whole-block calls (the l2 norms and energies as one stacked
+product of every row with itself).  Re-measuring a recorded history in
+another convention goes through the same per-block evaluation.  The
+arithmetic of every level and every norm is the one a loop of ``step``
+calls would do, so the results do not depend on the block size.  The power
+datum is raised to its power only on its support, where the base is
+nonzero.
 
 Reported error tables use the midpoint convention with the sup-over-steps
 statistic; both statistics are always emitted so the choice stays visible.
@@ -51,6 +58,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # so the cap stays small.
 _BLOCK_ENTRIES = 2 ** 14
 
+# Widest stencil applied with ``np.correlate``.  Up to this width its BLAS
+# dot matched the ordered loop bit for bit, signed zeros included, in every
+# random case tried (numpy 2.4, OpenBLAS 0.3.31); from width 12 on it
+# differed in most of them, since longer dots are summed in another order.
+# ``tests/test_solver.py::test_march_is_bit_exact_against_scalar_loop``
+# checks both sides of the limit.
+_CORRELATE_WIDTH = 11
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -65,8 +80,8 @@ class GridSpec:
             raise ValueError("interval length must be positive and finite")
         if self.J < 1:
             raise ValueError("cell count must be positive")
-        if not self.lam > 0:
-            raise ValueError("time-step ratio must be positive")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ValueError("time-step ratio must be positive and finite")
 
     @property
     def dx(self) -> float:
@@ -242,17 +257,23 @@ def initial_state(datum, grid: GridSpec, stencil: SchemeStencil,
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def _next_level(coeffs: Sequence[float], r: int, p: int,
-                v: np.ndarray) -> np.ndarray:
-    """The stencil applied to the filled level ``v``: a new level array
-    with zero ghosts and interior ``sum_ell c_ell v[j + ell]``, accumulated
-    from zero for ``ell = -r..p`` in order."""
-    new = np.zeros(len(v))
-    J = len(v) - r - p
-    acc = new[r:r + J]
+def _next_level(coeffs: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """Write the stencil ``coeffs`` applied to the filled level ``v`` into
+    ``out``: ``out[k] = sum_i coeffs[i] v[k + i]``, summed in order from
+    zero.  ``out`` has ``len(v) - len(coeffs) + 1`` cells and must not
+    overlap ``v``.
+
+    Up to ``_CORRELATE_WIDTH`` coefficients this is one ``np.correlate``,
+    whose per-cell BLAS dot sums short vectors in exactly that order; wider
+    stencils are applied by the loop itself, one multiply-add per offset.
+    """
+    if len(coeffs) <= _CORRELATE_WIDTH:
+        out[:] = np.correlate(v, coeffs, "valid")
+        return
+    m = len(out)
+    out[:] = 0.0
     for i, c in enumerate(coeffs):
-        acc += c * v[i:i + J]
-    return new
+        out += c * v[i:i + m]
 
 
 def step(state: FieldState, stencil: SchemeStencil, bc: BoundarySpec,
@@ -266,10 +287,10 @@ def step(state: FieldState, stencil: SchemeStencil, bc: BoundarySpec,
         raise ValueError("grid too small for the requested boundary closure")
     fill_inflow_ghosts(state)
     fill_outflow_ghosts(state, bc.outflow_order_kb, sources)
-    return FieldState(J=state.J, r=state.r, p=state.p,
-                      time_index=state.time_index + 1,
-                      values=_next_level(stencil.coeffs, state.r, state.p,
-                                         state.values))
+    new = FieldState(J=state.J, r=state.r, p=state.p,
+                     time_index=state.time_index + 1)
+    _next_level(stencil.coeff_array, state.values, new.interior)
+    return new
 
 
 def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
@@ -279,34 +300,44 @@ def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
     """Advance the level array ``v`` (cells ``1-r..J+p``, zero inflow
     ghosts) by ``N`` steps and return the last level.
 
-    Before each step the outflow ghosts of the current level are filled
-    once, from ``sources[n]`` at level ``n`` when given; the last level's
-    ghosts are filled only with ``fill_final``.  ``observe(n0, levels)``
-    receives the levels ``n0, n0+1, ...`` (ghosts as filled) in blocks of
-    at most ``_BLOCK_ENTRIES`` cells.
+    The levels are the rows of one zeroed block buffer of at least two
+    rows; each new interior is written by ``_next_level`` straight into the
+    row after the current one, wrapping to the first row when the block is
+    full (and alternating between two rows when nothing observes them), so
+    the inflow ghosts stay zero and no step allocates or copies a level.
+    Before each step the outflow ghosts of the current row are filled, from
+    ``sources[n]`` at level ``n`` when given; the last level's ghosts are
+    filled only with ``fill_final`` and are zero otherwise.
+    ``observe(n0, levels)`` receives the rows of levels ``n0, n0+1, ...``
+    (ghosts as filled) in blocks of at most ``_BLOCK_ENTRIES`` cells,
+    before those rows are overwritten.
     """
     r, p = stencil.r, stencil.p
     end = len(v) - p  # array position of the first outflow ghost
     if N > 0 and end - r < kb:
         raise ValueError("grid too small for the requested boundary closure")
     weights = extrapolation_weights(kb)
-    block = None
+    coeffs = stencil.coeff_array
+    rows = 2
     if observe is not None:
-        rows = max(1, min(N + 1, _BLOCK_ENTRIES // len(v)))
-        block = np.empty((rows, len(v)))
-    n0 = 0
+        rows = max(2, min(N + 1, _BLOCK_ENTRIES // len(v)))
+    block = np.zeros((rows, len(v)))
+    block[0] = v
+    k = n0 = 0  # row of level n, first level not yet observed
     for n in range(N + 1):
+        level = block[k]
         if n < N or fill_final:
-            _fill_outflow(v, end, weights,
+            _fill_outflow(level, end, weights,
                           sources[n] if sources is not None else None)
-        if block is not None:
-            block[n - n0] = v
-            if n - n0 + 1 == len(block) or n == N:
-                observe(n0, block[:n - n0 + 1])
-                n0 = n + 1
+        else:
+            level[end:] = 0.0
+        if observe is not None and (k + 1 == rows or n == N):
+            observe(n0, block[:k + 1])
+            n0 = n + 1
+        k = (k + 1) % rows
         if n < N:
-            v = _next_level(stencil.coeffs, r, p, v)
-    return v
+            _next_level(coeffs, level, block[k, r:end])
+    return level.copy()
 
 
 def _row_dots(a: np.ndarray) -> np.ndarray:
@@ -529,10 +560,8 @@ def consistency_error_field(datum, grid: GridSpec, stencil: SchemeStencil,
 
     w_now = averages(j_lo, j_hi, n * dt)
     w_prev = averages(j_lo - stencil.r, j_hi + stencil.p, (n - 1) * dt)
-    acc = np.zeros(j_hi - j_lo + 1)
-    m = j_hi - j_lo + 1
-    for i, c in enumerate(stencil.coeffs):
-        acc += c * w_prev[i:i + m]
+    acc = np.empty(j_hi - j_lo + 1)
+    _next_level(stencil.coeff_array, w_prev, acc)
     return -(w_now - acc) / dt
 
 

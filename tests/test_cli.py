@@ -191,6 +191,20 @@ def test_non_finite_inputs_rejected(capsys):
         assert "finite" in captured.err, argv
 
 
+def test_non_finite_stencils_rejected(capsys):
+    for scheme in ("r=1,p=0,a=-1:0.5,0:0.5;vel=1;lambda=inf",
+                   "r=1,p=0,a=-1:nan,0:0.5;vel=1;lambda=0.5",
+                   "r=1,p=0,a=-1:0.5,0:inf;vel=1;lambda=0.5",
+                   "r=1,p=0,a=-1:0.5,0:0.5;vel=inf;lambda=0.5"):
+        for argv in (["run", "--J", "10", "--scheme", scheme],
+                     ["verify", "--scheme", scheme]):
+            assert main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: "), argv
+            assert "finite" in captured.err, argv
+
+
 def test_unknown_datum_rejected(capsys):
     assert main(["run", "--J", "10", "--datum", "u99"]) == 1
     assert "unknown datum" in capsys.readouterr().err

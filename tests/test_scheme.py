@@ -47,6 +47,24 @@ def test_stencil_validation():
         SchemeStencil(r=0, p=0, coeffs=(1.0,), velocity_a=1.0, lam=0.0)
 
 
+def test_stencil_rejects_non_finite_values():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam must be positive and fin"):
+            SchemeStencil(r=1, p=0, coeffs=(0.5, 0.5), velocity_a=1.0,
+                          lam=bad)
+        with pytest.raises(ValueError, match="velocity must be positive and"):
+            SchemeStencil(r=1, p=0, coeffs=(0.5, 0.5), velocity_a=bad,
+                          lam=0.5)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            SchemeStencil(r=1, p=0, coeffs=(bad, 0.5), velocity_a=1.0,
+                          lam=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        parse_stencil("r=1,p=0,a=-1:0.5,0:0.5;vel=1;lambda=inf")
+    with pytest.raises(ValueError, match="finite"):
+        parse_stencil("r=1,p=0,a=-1:nan,0:0.5;vel=1;lambda=0.5")
+
+
 def test_coeff_lookup_by_offset():
     lw = make_builtin("lax_wendroff", 1.0, 0.7)
     assert lw.coeff(-1) == pytest.approx(0.595)

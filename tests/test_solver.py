@@ -618,3 +618,80 @@ def test_march_results_do_not_depend_on_block_size(monkeypatch):
         monkeypatch.setattr(solver, "_BLOCK_ENTRIES", entries)
         for got, want in zip(arrays(), default):
             assert np.array_equal(got, want), entries
+
+
+# -- the march against the scalar loop of _reference.naive_run ---------------
+#
+# naive_run sums every cell in order from zero in plain Python floats, so it
+# pins the march's arithmetic to the bit: a numpy or BLAS that reorders the
+# stencil sum, or starts it from the first product (which turns a sum of
+# -0.0 products into -0.0), fails here even though step() would still agree.
+
+def _cellwise_datum(values, dx, support_min):
+    """``values[j-1]`` on cell ``j`` of width ``dx``, zero off the cells:
+    sampling it at the midpoints gives ``values`` back bit for bit."""
+    def fn(x):
+        idx = np.floor(x / dx)
+        inside = (idx >= 0) & (idx < len(values))
+        at = np.clip(idx, 0, len(values) - 1).astype(int)
+        return np.where(inside, values[at], 0.0)
+    return CallableDatum(fn, support_min=support_min)
+
+
+def _bits_equal(got, want):
+    want = np.asarray(want, dtype=float)
+    return (np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("width", range(1, 15))
+def test_march_is_bit_exact_against_scalar_loop(width):
+    assert 1 <= solver._CORRELATE_WIDTH < 14  # both kernels are exercised
+    rng = np.random.default_rng(7000 + width)
+    steps = 4
+    for kb in range(4):
+        for nonnegative in (False, True):
+            coeffs = rng.uniform(-1.0, 1.0, width)
+            coeffs[rng.random(width) < 0.25] = 0.0
+            if nonnegative:  # every product on a run of -0.0 is -0.0
+                coeffs = np.abs(coeffs)
+            r = int(rng.integers(0, width))
+            p = width - 1 - r
+            st = SchemeStencil(r=r, p=p, coeffs=tuple(coeffs),
+                               velocity_a=1.0, lam=0.5)
+            pad = steps * p + r  # zero cells the half-line window needs
+            J = pad + 30
+            u0 = rng.uniform(-1.0, 1.0, J)
+            zeros = rng.random(J) < 0.3
+            u0[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5,
+                                 0.0, -0.0)
+            u0[:pad] = -0.0
+            u0[pad + 8:pad + 24] = -0.0
+            grid = GridSpec(L=1.0, J=J, lam=st.lam)
+            d = _cellwise_datum(u0, grid.dx, pad * grid.dx)
+            case = (width, r, p, kb, nonnegative)
+
+            want = naive_run(list(u0), list(st.coeffs), r, p, kb, steps)
+            run = run_interval(d, grid, st, BoundarySpec(kb),
+                               steps * grid.dt, record="full_history")
+            assert run.n_steps == steps, case
+            got = np.array([s.interior for s in run.history])
+            assert _bits_equal(got, want), case
+            assert _bits_equal(run.final_state.interior, want[-1]), case
+
+            sources = rng.uniform(-0.5, 0.5, (steps + 1, p))
+            sources[rng.random(sources.shape) < 0.3] = -0.0
+            want = naive_run(list(u0), list(st.coeffs), r, p, kb, steps,
+                             sources=sources.tolist())
+            res = run_halfline_outflow(d, grid, st, kb, steps,
+                                       sources=sources, convention="midpoint")
+            assert _bits_equal(res.initial_interior, want[0]), case
+            assert _bits_equal(res.final_state.interior, want[-1]), case
+            tail = [level[J - r - kb:] for level in want]
+            assert _bits_equal(res.traces[:, :r + kb], tail), case
+
+
+def test_grid_rejects_non_finite_ratio():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(L=1.0, J=10, lam=bad)
