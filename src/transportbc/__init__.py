@@ -20,9 +20,9 @@ from .solver import (CallableDatum, ConvergenceRow, ErrorReport,
                      FunctionalRatio, GridSpec, HalflineResult,
                      PowerPlusDatum, RunResult, consistency_error_field,
                      convergence_study, error_metrics, exact_solution,
-                     initial_state, n_steps, project_initial,
-                     reference_values, run_halfline_outflow, run_interval,
-                     sample_initial, stability_functional_ratio, step)
+                     initial_state, n_steps, reference_values,
+                     run_halfline_outflow, run_interval,
+                     stability_functional_ratio, step)
 from .state import FieldState
 from .spectral import (ConvergenceError, PseudospectrumGrid, SpectralReport,
                        TransitionMatrix, assemble_transition_matrix,
@@ -80,12 +80,10 @@ __all__ = [
     "operator_norm_l2",
     "parse_stencil",
     "power_norm_envelope",
-    "project_initial",
     "pseudospectrum_grid",
     "reference_values",
     "run_halfline_outflow",
     "run_interval",
-    "sample_initial",
     "smallest_singular_value",
     "spectral_radius",
     "stability_functional_ratio",

@@ -11,9 +11,11 @@ prescribed boundary value, here identically zero.  The outflow ghosts
 which for ``g = 0`` is polynomial extrapolation of degree ``k_b - 1`` from
 the last interior cells (``k_b = 0`` pins the ghosts to ``g`` directly, i.e.
 a right Dirichlet condition).  The ghosts are resolved left to right so each
-one may consume those already filled.  The closure is written once, as the
-integer weights of ``extrapolation_weights``: the ghost fill here, the
-solver's time march and the transition-matrix assembly all read them.
+one may consume those already filled.  The closure is written once: the
+integer weights of ``extrapolation_weights`` and the left-to-right recursion
+of ``_fill_outflow`` that applies them.  The ghost fill here, the solver's
+time march and the transition-matrix assembly (which fills the ghosts of
+all unit levels at once, one per column) all run that one recursion.
 """
 from __future__ import annotations
 
@@ -78,7 +80,8 @@ def _fill_outflow(values: np.ndarray, end: int, weights: tuple[int, ...],
     """Fill ``values[end:]``, the outflow ghosts of a plain level array, in
     place from the closure ``weights``, left to right so that each ghost
     reads the ones before it; ``sources`` holds their ``g`` (zeros when
-    omitted)."""
+    omitted).  A 2-D ``values`` holds one level per column and is filled
+    row by row."""
     for q in range(len(values) - end):
         acc = float(sources[q]) if sources is not None else 0.0
         for m, w in enumerate(weights, 1):

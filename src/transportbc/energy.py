@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .scheme import SchemeStencil, check_l2_stability, consistency_order
+from .solver import _next_level
 
 
 @dataclass
@@ -214,21 +215,24 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     ``lhs = dx * sum_j ((step v)_j^2 - v_j^2)`` and
     ``rhs = sum_k d_k * dx * sum_j (v_{j+k-r} - v_{j-r})^2``.
     The two agree to rounding because the telescoping form cancels on the
-    whole line.  With ``strict`` (default), an l2-stable stencil must show a
-    nonpositive ``rhs`` (up to 1e-12 of the sequence energy); a violation
-    raises, since it would mean the decomposition itself is wrong.
+    whole line.  The step is taken by the march's stencil kernel on the
+    zero-extended sequence.  With ``strict`` (default), an l2-stable
+    stencil must show a nonpositive ``rhs`` (up to 1e-12 of the sequence
+    energy); a violation raises, since it would mean the decomposition
+    itself is wrong.
     """
     v = np.asarray(test_sequence, dtype=float)
     if v.ndim != 1:
         raise ValueError("test sequence must be one-dimensional")
     r, p = stencil.r, stencil.p
     pad = r + p
-    vv = np.concatenate([np.zeros(pad), v, np.zeros(pad)])
-    stepped = np.zeros_like(vv)
-    n = len(vv)
-    for ell, c in zip(range(-r, p + 1), stencil.coeffs):
-        lo, hi = max(0, -ell), min(n, n - ell)
-        stepped[lo:hi] += c * vv[lo + ell:hi + ell]
+    # vv is v zero-extended by pad cells each side; the stencil reads r
+    # more zeros left and p more right of it
+    ext = np.zeros(len(v) + 2 * pad + r + p)
+    vv = ext[r:len(ext) - p]
+    vv[pad:pad + len(v)] = v
+    stepped = np.empty_like(vv)
+    _next_level(stencil.coeff_array, ext, stepped)
     lhs = dx * float(np.sum(stepped * stepped) - np.sum(vv * vv))
 
     d, _ = dissipation_and_boundary_form(stencil)

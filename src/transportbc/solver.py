@@ -21,7 +21,9 @@ of the row before with the stencil coefficients, its inflow ghosts stay
 zero and its outflow ghosts are filled in the row.  ``np.correlate`` takes
 each cell as one BLAS dot, which sums in order from zero only for short
 vectors, so stencils wider than ``_CORRELATE_WIDTH`` keep an ordered loop
-of multiply-adds; either way every level has the bits of that loop.  Each
+of multiply-adds; either way every level has the bits of that loop.  That
+kernel, ``_next_level``, is the package's only stencil sum: the
+transition-matrix assembly and the energy balance step with it too.  Each
 full block is measured at once: one broadcast call evaluates the reference
 values of all its time levels (one row per level), and the error norms,
 masses, energies and boundary traces are computed one block at a time,
@@ -233,28 +235,19 @@ def reference_values(datum, grid: GridSpec, t, a: float,
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def project_initial(datum, grid: GridSpec, stencil: SchemeStencil) -> FieldState:
-    """Initial state holding exact cell averages of the datum (ghosts zero)."""
-    state = FieldState(J=grid.J, r=stencil.r, p=stencil.p, time_index=0)
-    state.interior[:] = datum.cell_average(grid.cell_edges[:-1],
-                                           grid.cell_edges[1:])
-    return state
-
-
-def sample_initial(datum, grid: GridSpec, stencil: SchemeStencil) -> FieldState:
-    """Initial state holding midpoint samples of the datum (ghosts zero)."""
-    state = FieldState(J=grid.J, r=stencil.r, p=stencil.p, time_index=0)
-    state.interior[:] = datum(grid.cell_midpoints)
-    return state
-
-
 def initial_state(datum, grid: GridSpec, stencil: SchemeStencil,
                   convention: str = "midpoint") -> FieldState:
+    """Initial state (ghosts zero) holding midpoint samples of the datum
+    (``"midpoint"``) or its exact cell averages (``"cell_average"``)."""
+    state = FieldState(J=grid.J, r=stencil.r, p=stencil.p, time_index=0)
     if convention == "midpoint":
-        return sample_initial(datum, grid, stencil)
-    if convention == "cell_average":
-        return project_initial(datum, grid, stencil)
-    raise ValueError(f"unknown convention {convention!r}")
+        state.interior[:] = datum(grid.cell_midpoints)
+    elif convention == "cell_average":
+        state.interior[:] = datum.cell_average(grid.cell_edges[:-1],
+                                               grid.cell_edges[1:])
+    else:
+        raise ValueError(f"unknown convention {convention!r}")
+    return state
 
 
 def _next_level(coeffs: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
@@ -263,11 +256,13 @@ def _next_level(coeffs: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
     zero.  ``out`` has ``len(v) - len(coeffs) + 1`` cells and must not
     overlap ``v``.
 
-    Up to ``_CORRELATE_WIDTH`` coefficients this is one ``np.correlate``,
-    whose per-cell BLAS dot sums short vectors in exactly that order; wider
-    stencils are applied by the loop itself, one multiply-add per offset.
+    For a 1-D level of up to ``_CORRELATE_WIDTH`` coefficients this is one
+    ``np.correlate``, whose per-cell BLAS dot sums short vectors in exactly
+    that order; wider stencils and 2-D levels (one level per column, cells
+    along axis 0) are applied by the loop itself, one multiply-add per
+    offset.
     """
-    if len(coeffs) <= _CORRELATE_WIDTH:
+    if v.ndim == 1 and len(coeffs) <= _CORRELATE_WIDTH:
         out[:] = np.correlate(v, coeffs, "valid")
         return
     m = len(out)
@@ -390,9 +385,8 @@ def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
     ``record`` selects what is retained: ``"final"`` keeps just the last
     state, ``"sup_error"`` additionally tracks per-step error norms against
     the exact solution, ``"full_history"`` keeps every state (and the error
-    track).  Aliases ``"sup"`` and ``"history"`` are accepted.
+    track).
     """
-    record = {"sup": "sup_error", "history": "full_history"}.get(record, record)
     if record not in ("final", "sup_error", "full_history"):
         raise ValueError(f"unknown record mode {record!r}")
     if convention not in CONVENTIONS:
@@ -685,8 +679,8 @@ def stability_functional_ratio(run: HalflineResult,
     empirical stability constant; it is 0 when both sides vanish and inf when
     only the right side does.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError("gamma must be positive and finite")
     dt = run.grid.dt
     n = np.arange(run.steps + 1)
     w = np.exp(-2.0 * gamma * n * dt)

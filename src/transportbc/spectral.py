@@ -3,9 +3,12 @@ r"""One-step transition matrices and their spectral diagnostics.
 Eliminating the ghost cells of the interval scheme turns one time step into
 a dense ``J x J`` matrix: banded Toeplitz in the interior, perturbed in the
 last rows where the outflow extrapolation folds ghost values back onto
-interior cells.  This module assembles that matrix and measures it: spectral
-radius, l2-induced norm, norms of matrix powers, and smallest-singular-value
-grids for pseudospectra.  The dense kernels are numpy's LAPACK; a LAPACK
+interior cells.  Its column ``k`` is one march step of the unit level
+``e_k``, built by the march's own ghost fill and stencil kernel, so the
+matrix is the stepper itself rather than a second derivation of it.  This
+module assembles that matrix and measures it: spectral radius, l2-induced
+norm, norms of matrix powers, and smallest-singular-value grids for
+pseudospectra.  The dense kernels are numpy's LAPACK; a LAPACK
 failure is raised as ConvergenceError.
 
 Norms and smallest singular values are well conditioned and come straight
@@ -27,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import extrapolation_weights
+from .boundary import _fill_outflow, extrapolation_weights
 from .scheme import SchemeStencil
+from .solver import _next_level
 
 # Complex entries in one stacked SVD of the pseudospectrum grid (16 MB): a
 # whole row of shifts at moderate J, fewer shifts per stack at large J.
@@ -78,49 +82,29 @@ class SpectralReport:
             )
 
 
-def _ghost_weights(J: int, stencil: SchemeStencil, kb: int) -> list[np.ndarray]:
-    """Row vectors expressing ghost cells J+1..J+p in interior cells 1..J."""
-    closure = extrapolation_weights(kb)
-    weights: list[np.ndarray] = []
-    for q in range(1, stencil.p + 1):
-        w = np.zeros(J)
-        for m, c in enumerate(closure, 1):
-            src = q - m  # cell J + q - m
-            if src >= 1:
-                w += c * weights[src - 1]
-            else:
-                w[J + src - 1] += c
-        weights.append(w)
-    return weights
-
-
 def assemble_transition_matrix(J: int, stencil: SchemeStencil,
                                kb: int) -> TransitionMatrix:
-    """Fold boundary closures into the stencil's Toeplitz action.
+    """The one-step map of the march, one column per interior cell.
 
-    Columns for inflow ghosts are dropped (their value is pinned to zero);
-    each outflow ghost is rewritten as its extrapolation combination of
-    interior cells, recursively for ghosts that reference other ghosts.
+    Column ``k`` is one march step of the unit level ``e_k``, built by the
+    march's own ghost fill and stencil kernel: the identity sits in the
+    interior rows of one extended level, the inflow rows stay zero, the
+    outflow rows are filled by ``boundary._fill_outflow`` and
+    ``solver._next_level`` applies the stencil to all columns at once.
     """
     if kb < 0:
         raise ValueError("extrapolation order must be nonnegative")
-    if J < max(stencil.r, stencil.p, kb) + 1:
+    r, p = stencil.r, stencil.p
+    if J < max(r, p, kb) + 1:
         raise ValueError(
             f"J={J} cannot express the ghost closures in interior cells "
-            f"(need J >= {max(stencil.r, stencil.p, kb) + 1})"
+            f"(need J >= {max(r, p, kb) + 1})"
         )
-    A = np.zeros((J, J))
-    ghosts = _ghost_weights(J, stencil, kb)
-    for i in range(J):  # row i holds cell j = i + 1
-        j = i + 1
-        for ell, c in zip(stencil.offsets, stencil.coeffs):
-            col = j + ell
-            if col < 1:
-                continue  # inflow ghost, pinned to zero
-            if col <= J:
-                A[i, col - 1] += c
-            else:
-                A[i, :] += c * ghosts[col - J - 1]
+    ext = np.zeros((r + J + p, J))
+    ext[r:r + J] = np.eye(J)
+    _fill_outflow(ext, r + J, extrapolation_weights(kb), None)
+    A = np.empty((J, J))
+    _next_level(stencil.coeff_array, ext, A)
     return TransitionMatrix(J=J, entries=A)
 
 

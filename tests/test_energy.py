@@ -210,6 +210,44 @@ def test_energy_balance_holds_for_unstable_stencil():
     assert grew  # an amplifying stencil must show energy production
 
 
+def _consistent_stencil(width, rng, lam=0.4):
+    """Random first-order consistent stencil of ``width`` coefficients,
+    some exactly zero; its two end weights solve the two moment equations."""
+    r = int(rng.integers(1, width))
+    p = width - 1 - r
+    ell = np.arange(-r, p + 1, dtype=float)
+    w = rng.uniform(-0.3, 0.3, width)
+    w[rng.random(width) < 0.25] = 0.0
+    mid = slice(1, width - 1)
+    w[[0, -1]] = np.linalg.solve(
+        [[1.0, 1.0], [ell[0], ell[-1]]],
+        [1.0 - w[mid].sum(), -lam - float(np.dot(ell[mid], w[mid]))])
+    return SchemeStencil(r=r, p=p, coeffs=tuple(w), velocity_a=1.0, lam=lam)
+
+
+@pytest.mark.parametrize("width", range(2, 15))
+def test_energy_balance_lhs_is_bit_exact_against_scalar_loop(width):
+    # width 1 has no first-order consistent stencil with a > 0, so
+    # verify_energy_balance cannot be called on it
+    rng = np.random.default_rng(6100 + width)
+    st = _consistent_stencil(width, rng)
+    r, p = st.r, st.p
+    for _ in range(20):
+        v = rng.uniform(-1.0, 1.0, int(rng.integers(0, 60)))
+        v[rng.random(len(v)) < 0.3] = -0.0
+        vv = np.concatenate([np.zeros(r + p), v, np.zeros(r + p)])
+        stepped = np.zeros_like(vv)
+        for j in range(len(vv)):
+            acc = 0.0
+            for i, c in enumerate(st.coeffs):
+                if 0 <= j + i - r < len(vv):
+                    acc += c * vv[j + i - r]
+            stepped[j] = acc
+        want = 0.125 * float(np.sum(stepped * stepped) - np.sum(vv * vv))
+        lhs, _, _ = verify_energy_balance(st, v, dx=0.125, strict=False)
+        assert lhs == want, (width, len(v))
+
+
 def test_energy_balance_input_validation():
     st = make_builtin("upwind", 1.0, 0.7)
     with pytest.raises(ValueError, match="one-dimensional"):

@@ -8,9 +8,9 @@ from transportbc import (BoundarySpec, CallableDatum, FieldState, GridSpec,
                          consistency_error_field, convergence_study,
                          error_metrics, exact_solution, fill_inflow_ghosts,
                          fill_outflow_ghosts, initial_state, make_builtin,
-                         n_steps, project_initial, reference_values,
-                         run_halfline_outflow, run_interval, sample_initial,
-                         solver, stability_functional_ratio, step)
+                         n_steps, reference_values, run_halfline_outflow,
+                         run_interval, solver, stability_functional_ratio,
+                         step)
 
 from _reference import REFERENCE_SUP_ERRORS, naive_run
 
@@ -161,14 +161,14 @@ def test_exact_solution_zero_gate():
 def test_initial_state_conventions():
     grid = GridSpec(L=1.0, J=8, lam=0.7)
     d = PowerPlusDatum(0.25, 2.0)
-    mid = sample_initial(d, grid, LW)
-    avg = project_initial(d, grid, LW)
+    mid = initial_state(d, grid, LW, "midpoint")
+    avg = initial_state(d, grid, LW, "cell_average")
     assert mid.interior == pytest.approx(d(grid.cell_midpoints))
     assert avg.interior == pytest.approx(
         d.cell_average(grid.cell_edges[:-1], grid.cell_edges[1:]))
     assert np.all(mid.left_ghosts == 0.0)
     assert np.all(avg.right_ghosts == 0.0)
-    assert initial_state(d, grid, LW, "midpoint").interior == pytest.approx(
+    assert initial_state(d, grid, LW).interior == pytest.approx(
         mid.interior)
     with pytest.raises(ValueError):
         initial_state(d, grid, LW, "nodal")
@@ -219,18 +219,19 @@ def test_run_interval_record_modes():
     bc = BoundarySpec(2)
     final = run_interval(d, grid, LW, bc, 0.1, record="final")
     assert final.linf_history is None and final.history is None
-    sup = run_interval(d, grid, LW, bc, 0.1, record="sup")
+    sup = run_interval(d, grid, LW, bc, 0.1, record="sup_error")
     assert len(sup.linf_history) == sup.n_steps + 1
     assert sup.history is None
-    full = run_interval(d, grid, LW, bc, 0.1, record="history")
+    full = run_interval(d, grid, LW, bc, 0.1, record="full_history")
     assert len(full.history) == full.n_steps + 1
     assert full.final_state.interior == pytest.approx(
         full.history[-1].interior)
     # all three agree on the final state
     assert final.final_state.interior == pytest.approx(
         sup.final_state.interior)
-    with pytest.raises(ValueError):
-        run_interval(d, grid, LW, bc, 0.1, record="everything")
+    for mode in ("everything", "sup", "history"):
+        with pytest.raises(ValueError):
+            run_interval(d, grid, LW, bc, 0.1, record=mode)
 
 
 def test_run_interval_step_count_and_final_time():
@@ -245,7 +246,7 @@ def test_error_metrics_and_history_requirements():
     d = PowerPlusDatum(0.5, 3.0)
     grid = GridSpec(L=1.0, J=20, lam=0.7)
     bc = BoundarySpec(2)
-    sup = run_interval(d, grid, LW, bc, 0.2, record="sup")
+    sup = run_interval(d, grid, LW, bc, 0.2, record="sup_error")
     rep = error_metrics(sup)
     assert rep.linf_sup >= rep.linf_final > 0.0
     assert rep.l2_sup >= rep.l2_final > 0.0
@@ -258,7 +259,7 @@ def test_error_metrics_and_history_requirements():
     with pytest.raises(ValueError):
         error_metrics(final, convention="cell_average")
 
-    full = run_interval(d, grid, LW, bc, 0.2, record="history")
+    full = run_interval(d, grid, LW, bc, 0.2, record="full_history")
     rep_avg = error_metrics(full, convention="cell_average")
     assert rep_avg.convention == "cell_average"
     assert rep_avg.linf_sup > 0.0
@@ -284,7 +285,7 @@ def test_error_metrics_honours_explicit_datum_and_velocity():
         assert got.linf_final == errs[-1]
     # the run's own datum and velocity, passed explicitly, reuse the record
     assert error_metrics(full, datum=d, a=1.0).linf_sup == own
-    sup = run_interval(d, grid, LW, BoundarySpec(1), 0.5, record="sup")
+    sup = run_interval(d, grid, LW, BoundarySpec(1), 0.5, record="sup_error")
     for kwargs in ({"datum": other}, {"a": 3.0}):
         with pytest.raises(ValueError, match="full_history"):
             error_metrics(sup, **kwargs)
@@ -453,6 +454,16 @@ def test_stability_functional_formula():
     assert out.ratio == pytest.approx(out.lhs / out.rhs, rel=1e-12)
     with pytest.raises(ValueError):
         stability_functional_ratio(res, 0.0)
+
+
+def test_stability_functional_rejects_non_finite_gamma():
+    # inf passes a positivity check, and 0 * inf in the weights makes the
+    # ratio nan
+    res = run_halfline_outflow(_bump(), GridSpec(L=1.0, J=40, lam=0.7), LW,
+                               1, steps=4)
+    for bad in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            stability_functional_ratio(res, bad)
 
 
 # -- the march against a loop of public step() calls -------------------------

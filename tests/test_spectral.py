@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -81,6 +82,31 @@ def test_transition_matrix_recursive_ghosts():
         u0 = rng.uniform(-1, 1, 9)
         expected = naive_run(list(u0), list(st.coeffs), 1, 2, kb, 1)
         assert A @ u0 == pytest.approx(expected[1], abs=1e-13)
+
+
+@pytest.mark.parametrize("width", range(1, 15))
+def test_transition_columns_are_bit_exact_march_steps(width):
+    # column k is one step of the unit level e_k; compared bit for bit, so
+    # a reordered stencil sum or a wrong ghost closure shows, which abs=1e-13
+    # comparisons of A @ u0 cannot see
+    rng = np.random.default_rng(5100 + width)
+    for p, kb in itertools.product(range(min(width - 1, 5) + 1), range(5)):
+        r = width - 1 - p
+        coeffs = rng.uniform(-1.0, 1.0, width)
+        coeffs[rng.random(width) < 0.25] = 0.0
+        st = SchemeStencil(r=r, p=p, coeffs=tuple(coeffs), velocity_a=1.0,
+                           lam=0.5)
+        for J in range(max(r, p, kb) + 1, 18):
+            A = assemble_transition_matrix(J, st, kb).entries
+            for k in range(J):
+                e_k = [0.0] * J
+                e_k[k] = 1.0
+                want = np.array(naive_run(e_k, list(st.coeffs), r, p, kb,
+                                          steps=1)[1])
+                case = (width, r, p, kb, J, k)
+                assert np.array_equal(A[:, k], want), case
+                assert np.array_equal(np.signbit(A[:, k]),
+                                      np.signbit(want)), case
 
 
 def test_eigenvalues_known_spectra():
