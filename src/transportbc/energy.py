@@ -206,6 +206,15 @@ def _cached_stability(stencil: SchemeStencil):
     return check_l2_stability(stencil)
 
 
+@lru_cache(maxsize=128)
+def _cached_dissipation(stencil: SchemeStencil) -> np.ndarray:
+    """Read-only ``d`` of ``dissipation_and_boundary_form``; a stencil it
+    rejects raises on every call, since exceptions are not cached."""
+    d, _ = dissipation_and_boundary_form(stencil)
+    d.flags.writeable = False
+    return d
+
+
 def verify_energy_balance(stencil: SchemeStencil, test_sequence,
                           dx: float = 1.0,
                           strict: bool = True) -> tuple[float, float, float]:
@@ -216,7 +225,8 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     ``rhs = sum_k d_k * dx * sum_j (v_{j+k-r} - v_{j-r})^2``.
     The two agree to rounding because the telescoping form cancels on the
     whole line.  The step is taken by the march's stencil kernel on the
-    zero-extended sequence.  With ``strict`` (default), an l2-stable
+    zero-extended sequence; ``d`` is computed once per stencil and reused
+    by later calls.  With ``strict`` (default), an l2-stable
     stencil must show a nonpositive ``rhs`` (up to 1e-12 of the sequence
     energy); a violation raises, since it would mean the decomposition
     itself is wrong.
@@ -235,9 +245,8 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     _next_level(stencil.coeff_array, ext, stepped)
     lhs = dx * float(np.sum(stepped * stepped) - np.sum(vv * vv))
 
-    d, _ = dissipation_and_boundary_form(stencil)
     rhs = 0.0
-    for k, dk in enumerate(d, start=1):
+    for k, dk in enumerate(_cached_dissipation(stencil), start=1):
         diffs = vv[k:] - vv[:-k]
         rhs += float(dk) * dx * float(np.sum(diffs * diffs))
     residual = abs(lhs - rhs)

@@ -28,12 +28,18 @@ full block is measured at once: one broadcast call evaluates the reference
 values of all its time levels (one row per level), and the error norms,
 masses, energies and boundary traces are computed one block at a time,
 each in a few whole-block calls (the l2 norms and energies as one stacked
-product of every row with itself).  Re-measuring a recorded history in
-another convention goes through the same per-block evaluation.  The
-arithmetic of every level and every norm is the one a loop of ``step``
-calls would do, so the results do not depend on the block size.  The power
-datum is raised to its power only on its support, where the base is
-nonzero.
+product of every row with itself).  The reference values of a block are
+evaluated only from the first cell that the datum's support, shifted by
+the block's smallest shift ``a t``, can reach; that cell comes from the
+datum's ``support_min`` and, on the interval, from the zero gate at
+``x = 0``, with a margin of one cell, and every cell left of it is exactly
+zero.  The grid coordinates are built once per grid.  ``reference_values``,
+the interval runs, the half-line runs and ``error_metrics`` re-measuring a
+recorded history in another convention all go through this one
+evaluation.  The arithmetic of every level and every norm is the one a
+loop of ``step`` calls would do, so the results do not depend on the block
+size.  The power datum is raised to its power only on its support, where
+the base is nonzero, and its gated cell averages are closed-form.
 
 Reported error tables use the midpoint convention with the sup-over-steps
 statistic; both statistics are always emitted so the choice stays visible.
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -96,12 +103,23 @@ class GridSpec:
     @property
     def cell_edges(self) -> np.ndarray:
         """Edges ``x_0 .. x_J`` (length J+1)."""
-        return self.dx * np.arange(self.J + 1)
+        return _grid_coordinates(self.L, self.J)[1].copy()
 
     @property
     def cell_midpoints(self) -> np.ndarray:
         """Midpoints of cells ``1..J``."""
-        return self.dx * (np.arange(1, self.J + 1) - 0.5)
+        return _grid_coordinates(self.L, self.J)[0].copy()
+
+
+@lru_cache(maxsize=4)
+def _grid_coordinates(L: float, J: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only midpoints and edges of the grid of ``J`` cells on
+    ``(0, L]``, built once per grid (the last few grids are kept)."""
+    dx = L / J
+    mids = dx * (np.arange(1, J + 1) - 0.5)
+    edges = dx * np.arange(J + 1)
+    mids.flags.writeable = edges.flags.writeable = False
+    return mids, edges
 
 
 class PowerPlusDatum:
@@ -155,11 +173,18 @@ class CallableDatum:
     ``fn`` must be elementwise: the solvers call it on 2-D arrays (one row
     per time level) and expect an array of the same shape back.  Cell
     averages fall back to 16-point Gauss-Legendre quadrature per cell.
-    ``support_min`` (leftmost point of the support) is needed by the
-    half-line driver to validate window padding.
+    ``support_min`` (leftmost point of the support, finite) is needed by
+    the half-line driver to validate window padding.  When it is given,
+    ``fn`` must vanish left of it: the half-line window check relies on
+    that, and reference values are not evaluated on cells the shifted
+    support cannot reach (they are taken as ``0.0``).
     """
 
     def __init__(self, fn: Callable, support_min: float | None = None) -> None:
+        if support_min is not None:
+            support_min = float(support_min)
+            if not math.isfinite(support_min):
+                raise ValueError("support_min must be finite")
         self.fn = fn
         self._support_min = support_min
 
@@ -182,57 +207,117 @@ class CallableDatum:
         return self._support_min
 
 
+def _gated(datum, xs):
+    """``datum(xs)``, zero wherever ``xs <= 0``.  A power datum with
+    ``c >= 0`` already vanishes there, so it is evaluated ungated."""
+    if isinstance(datum, PowerPlusDatum) and datum.c >= 0.0:
+        return datum(xs)
+    return np.where(xs > 0.0, datum(xs), 0.0)
+
+
 def exact_solution(datum, x, t: float, a: float):
     """Shifted datum ``u0(x - a t)``, zero wherever ``x - a t <= 0``.
 
     The zero gate encodes the convention that interval data live on the
-    positive axis and are extended by zero to the left.  A power datum with
-    ``c >= 0`` already vanishes there, so it is evaluated ungated.
+    positive axis and are extended by zero to the left.
     """
-    xs = np.asarray(x, dtype=float) - a * t
-    if isinstance(datum, PowerPlusDatum) and datum.c >= 0.0:
-        vals = datum(xs)
-    else:
-        vals = np.where(xs > 0.0, datum(xs), 0.0)
+    vals = _gated(datum, np.asarray(x, dtype=float) - a * t)
     if np.isscalar(x):
         return float(vals)
     return vals
 
 
-def _gated_cell_averages(datum, grid: GridSpec, shift) -> np.ndarray:
-    """Exact averages of the zero-extended shifted datum over cells 1..J
-    (one row per shift when ``shift`` is a column of shifts)."""
-    lo = grid.cell_edges[:-1] - shift
-    hi = grid.cell_edges[1:] - shift
-    if isinstance(datum, PowerPlusDatum) and datum.c >= 0.0:
-        return datum.cell_average(lo, hi)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    acc = np.zeros(lo.shape)
-    xs = np.empty(lo.shape)
-    for node, w in zip(_GL_NODES, _GL_WEIGHTS):
-        np.multiply(half, node, out=xs)
-        xs += mid
-        term = np.where(xs > 0.0, datum(xs), 0.0)
-        term *= w
-        acc += term
-    return 0.5 * acc
+def _first_live_column(edges: np.ndarray, shift, lower: float | None) -> int:
+    """Number of leading cells on which the datum shifted by every entry
+    of ``shift`` vanishes, when it vanishes left of ``lower``.
+
+    A cell is skipped when its right edge lies at least one cell width
+    left of ``lower + min(shift)``, so every point of the cell shifted
+    back lies about a cell left of ``lower``.  The rounding of the shifted
+    midpoints, edges and quadrature nodes is a few ulps of the largest
+    coordinate, far below that margin whenever ``2**-40`` of the
+    coordinates is below the cell width; otherwise, and for an unknown
+    ``lower``, nothing is skipped.
+    """
+    shift = np.asarray(shift)
+    if lower is None or shift.size == 0:
+        return 0
+    least, most = float(shift.min()), float(shift.max())
+    dx = edges[1]
+    target = lower + least - dx
+    scale = abs(lower) + max(-least, most) + edges[-1]
+    if not (math.isfinite(target) and scale * 2.0 ** -40 < dx):
+        return 0
+    # right edges at or left of the target; edges[0] = 0 is not one
+    return max(0, int(edges.searchsorted(target, side="right")) - 1)
+
+
+def _shifted_reference(datum, grid: GridSpec, shift, convention: str,
+                       gate: bool) -> np.ndarray:
+    """Values of the datum shifted by ``shift`` on cells 1..J (one row per
+    entry when ``shift`` is a column): midpoint samples or exact cell
+    averages, of the datum cut to zero at ``x <= 0`` with ``gate`` and of
+    the datum as it is without.
+
+    The datum is evaluated only from the first column its shifted support
+    can reach (``_first_live_column``, from ``support_min`` and, with
+    ``gate``, from 0); the cells left of it are ``0.0``.  The evaluated
+    cells have the bits of a full-width evaluation.
+    """
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    mids, edges = _grid_coordinates(grid.L, grid.J)
+    lower = getattr(datum, "support_min", None)
+    if gate:
+        lower = 0.0 if lower is None else max(0.0, lower)
+    j0 = _first_live_column(edges, shift, lower)
+    out = np.zeros(np.shape(shift)[:-1] + (grid.J,))
+    if j0 == grid.J:
+        return out
+    live = out[..., j0:]
+    if convention == "midpoint":
+        xs = mids[j0:] - shift
+        live[...] = _gated(datum, xs) if gate else datum(xs)
+        return out
+    lo = edges[j0:-1] - shift
+    hi = edges[j0 + 1:] - shift
+    if not gate:
+        live[...] = datum.cell_average(lo, hi)
+    elif isinstance(datum, PowerPlusDatum):
+        # closed form of the average of the datum cut to zero at x <= 0
+        F = datum.antiderivative
+        live[...] = ((F(np.maximum(hi, 0.0)) - F(np.maximum(lo, 0.0)))
+                     / (hi - lo))
+    else:
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        acc = np.zeros(lo.shape)
+        xs = np.empty(lo.shape)
+        for node, w in zip(_GL_NODES, _GL_WEIGHTS):
+            np.multiply(half, node, out=xs)
+            xs += mid
+            term = _gated(datum, xs)
+            term *= w
+            acc += term
+        live[...] = 0.5 * acc
+    return out
 
 
 def reference_values(datum, grid: GridSpec, t, a: float,
                      convention: str) -> np.ndarray:
-    """Per-cell reference (exact-solution) values in the given convention.
+    """Per-cell reference (exact-solution) values in the given convention:
+    midpoint samples or exact cell averages of the shifted datum, extended
+    by zero left of ``x = 0``.
 
     ``t`` is one time, giving a length-``J`` array, or a 1-D array of
     times, giving one row per time.
     """
-    if np.ndim(t) == 1:
-        t = np.asarray(t, dtype=float)[:, None]
-    if convention == "midpoint":
-        return exact_solution(datum, grid.cell_midpoints, t, a)
-    if convention == "cell_average":
-        return _gated_cell_averages(datum, grid, a * t)
-    raise ValueError(f"unknown convention {convention!r}")
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError("t must be one time or a 1-D array of times")
+    if t.ndim == 1:
+        t = t[:, None]
+    return _shifted_reference(datum, grid, a * t, convention, gate=True)
 
 
 def initial_state(datum, grid: GridSpec, stencil: SchemeStencil,
@@ -623,7 +708,6 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
     a, dx, dt = stencil.velocity_a, grid.dx, grid.dt
     state = initial_state(datum, grid, stencil, convention)
     f0 = state.interior.copy()
-    mids, edges = grid.cell_midpoints, grid.cell_edges
 
     lo = grid.J - kb  # array position of cell J+1-r-kb
     n_trace = r + kb + p
@@ -640,12 +724,7 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
         masses[n0:n1] = dx * np.sum(u, axis=1)
         energies[n0:n1] = dx * _row_dots(u)
         shift = ((a * np.arange(n0, n1)) * dt)[:, None]
-        if convention == "midpoint":
-            ref = datum(mids - shift)
-        else:
-            ref = datum.cell_average(edges[:-1] - shift, edges[1:] - shift)
-        if not isinstance(datum, PowerPlusDatum):
-            ref = np.array(ref)  # it may be an array the datum keeps
+        ref = _shifted_reference(datum, grid, shift, convention, gate=False)
         _block_errors(u, ref, dx, linf_hist[n0:n1], l2_hist[n0:n1])
 
     final = _march(state.values, stencil, kb, steps, observe,

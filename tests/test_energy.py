@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from transportbc import energy
 from transportbc import (BoundaryForm, QuadDecomposition, SchemeStencil,
                          SymmetricForm, amplification_expression,
                          build_amplification_form, decompose_zero_sum_form,
@@ -140,6 +141,35 @@ def test_dissipation_requires_first_order():
     ident = SchemeStencil(r=0, p=0, coeffs=(1.0,), velocity_a=1.0, lam=0.7)
     with pytest.raises(ValueError, match="first-order"):
         dissipation_and_boundary_form(ident)
+
+
+def test_energy_balance_reuses_a_read_only_split(monkeypatch):
+    # d is computed once per stencil and shared read-only; a stencil the
+    # split rejects raises on every call, and the public split stays
+    # uncached
+    st = make_builtin("lax_wendroff", 1.0, 0.65)
+    v = np.array([0.0, 1.0, -0.5, 0.25, 0.0])
+    want = verify_energy_balance(st, v)
+    d = energy._cached_dissipation(st)
+    assert d is energy._cached_dissipation(st)
+    assert not d.flags.writeable
+    assert np.array_equal(d, dissipation_and_boundary_form(st)[0])
+    fresh = dissipation_and_boundary_form(st)[0]
+    assert fresh is not dissipation_and_boundary_form(st)[0]
+    assert fresh.flags.writeable
+
+    def split_must_not_run(stencil):
+        raise AssertionError("split recomputed for a cached stencil")
+    monkeypatch.setattr(energy, "dissipation_and_boundary_form",
+                        split_must_not_run)
+    assert verify_energy_balance(st, v) == want
+    monkeypatch.undo()
+
+    ident = SchemeStencil(r=0, p=1, coeffs=(1.0, 0.0), velocity_a=1.0,
+                          lam=0.7)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="first-order"):
+            verify_energy_balance(ident, v)
 
 
 def test_boundary_form_represents_reduced_form():

@@ -68,19 +68,13 @@ def _plain_power(x, c, alpha):
 
 
 def _plain_average(lo, hi, c, alpha, gate=False):
-    """Closed-form average, or for a gated datum with c < 0 the 16-point
-    Gauss average of the datum cut to zero at x <= 0."""
-    if not gate or c >= 0.0:
-        big = _plain_power(hi, c, alpha + 1.0) / (alpha + 1.0)
-        small = _plain_power(lo, c, alpha + 1.0) / (alpha + 1.0)
-        return (big - small) / (hi - lo)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    acc = np.zeros(np.shape(mid))
-    for node, w in zip(nodes, weights):
-        xs = mid + half * node
-        acc = acc + w * np.where(xs > 0.0, _plain_power(xs, c, alpha), 0.0)
-    return 0.5 * acc
+    """Closed-form average over (lo, hi) of the datum, with ``gate`` of the
+    datum cut to zero at x <= 0 (integrated from max(lo, 0) on)."""
+    top, bottom = (np.maximum(hi, 0.0), np.maximum(lo, 0.0)) if gate \
+        else (hi, lo)
+    big = _plain_power(top, c, alpha + 1.0) / (alpha + 1.0)
+    small = _plain_power(bottom, c, alpha + 1.0) / (alpha + 1.0)
+    return (big - small) / (hi - lo)
 
 
 def test_power_datum_arithmetic_matches_plain_formulas():
@@ -706,3 +700,183 @@ def test_grid_rejects_non_finite_ratio():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             GridSpec(L=1.0, J=10, lam=bad)
+
+
+def test_callable_datum_rejects_non_finite_support_min():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="support_min"):
+            CallableDatum(np.cos, support_min=bad)
+    assert CallableDatum(np.cos, support_min=1).support_min == 1.0
+    assert CallableDatum(np.cos).support_min is None
+
+
+def test_gated_power_average_is_exact_for_negative_offset():
+    # the zero gate puts a jump at x = a t inside one cell; the average of
+    # ((x + 0.2)^+)^0.5 cut to zero at x <= 0 is closed-form on every cell
+    c, alpha = -0.2, 0.5
+    grid = GridSpec(L=1.0, J=40, lam=0.7)
+    d = PowerPlusDatum(c, alpha)
+
+    def exact_average(j, shift):
+        lo, hi = (j - 1) * grid.dx - shift, j * grid.dx - shift
+        if hi <= 0.0:
+            return 0.0
+        F = (lambda x: (x - c) ** (alpha + 1.0) / (alpha + 1.0))
+        return (F(hi) - F(max(lo, 0.0))) / (hi - lo)
+
+    for t in (0.31, np.array([0.0, 0.1, 0.31])):
+        got = reference_values(d, grid, t, 1.0, "cell_average")
+        for row, tt in zip(np.atleast_2d(got), np.atleast_1d(t)):
+            want = [exact_average(j, tt) for j in range(1, grid.J + 1)]
+            assert row == pytest.approx(want, rel=1e-13, abs=1e-15), tt
+    # the cell holding the jump, against mpmath.quad at 30 digits
+    jump = math.ceil(0.31 / grid.dx)
+    assert reference_values(d, grid, 0.31, 1.0, "cell_average")[jump - 1] \
+        == pytest.approx(0.273298126042326066, rel=1e-12)
+
+
+# -- reference values evaluated only where the shifted support reaches ------
+
+def _full_width_reference(datum, grid, shift, convention, gate):
+    """Reference values on every cell of ``grid`` of the datum shifted by
+    ``shift``, cut to zero at x <= 0 with ``gate`` (the interval runs and
+    ``reference_values``) and as it is without (the half-line runs)."""
+    xs = grid.cell_midpoints - shift
+    lo = grid.cell_edges[:-1] - shift
+    hi = grid.cell_edges[1:] - shift
+    power = isinstance(datum, PowerPlusDatum)
+    if not gate:
+        if convention == "midpoint":
+            return datum(xs)
+        return datum.cell_average(lo, hi)
+    if convention == "midpoint":
+        if power and datum.c >= 0.0:
+            return datum(xs)
+        return np.where(xs > 0.0, datum(xs), 0.0)
+    if power:
+        F = datum.antiderivative
+        return (F(np.maximum(hi, 0.0)) - F(np.maximum(lo, 0.0))) / (hi - lo)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    acc = np.zeros(lo.shape)
+    for node, w in zip(*np.polynomial.legendre.leggauss(16)):
+        xs = half * node + mid
+        acc += w * np.where(xs > 0.0, datum(xs), 0.0)
+    return 0.5 * acc
+
+
+def _row_norms(levels, ref, dx):
+    err = levels - ref
+    return (np.array([np.max(np.abs(e)) for e in err]),
+            np.array([math.sqrt(dx * float(np.dot(e, e))) for e in err]))
+
+
+LIVE_DATA = [PowerPlusDatum(-0.2, 0.5), PowerPlusDatum(0.0, 2.6),
+             PowerPlusDatum(0.55, 2.5), _bump(0.6, 0.3),
+             CallableDatum(lambda x: np.cos(3.0 * x) + x * x)]
+
+
+@pytest.mark.parametrize("entries", [None, 1, 2 ** 30])
+def test_live_columns_match_full_width_evaluation(monkeypatch, entries):
+    if entries is not None:
+        monkeypatch.setattr(solver, "_BLOCK_ENTRIES", entries)
+    with pytest.raises(ValueError, match="1-D"):
+        reference_values(LIVE_DATA[0], GridSpec(L=1.0, J=8, lam=0.7),
+                         np.zeros((2, 8)), 1.0, "midpoint")
+    nan_right = CallableDatum(
+        lambda x: np.where(x > 0.9, np.nan,
+                           np.where(x > 0.2, np.sin(5.0 * x - 1.0), 0.0)),
+        support_min=0.2)
+    for J in (37, 160):
+        grid = GridSpec(L=1.0, J=J, lam=LW.lam)
+        times = np.arange(40) * grid.dt
+        for d in LIVE_DATA + [nan_right]:
+            for conv in ("midpoint", "cell_average"):
+                case = (J, d, conv)
+                for a in (1.0, 2.3, 0.0, -0.5):
+                    want = _full_width_reference(d, grid, a * times[:, None],
+                                                 conv, gate=True)
+                    got = reference_values(d, grid, times, a, conv)
+                    assert np.array_equal(got, want, equal_nan=True), case
+                    got = reference_values(d, grid, times[9], a, conv)
+                    assert np.array_equal(got, want[9], equal_nan=True), case
+                if d is nan_right:
+                    continue
+                # the interval run's errors, and error_metrics re-measuring
+                # its levels in both conventions
+                run = run_interval(d, grid, LW, BoundarySpec(1), 0.5,
+                                   record="full_history", convention=conv)
+                levels = np.array([s.interior for s in run.history])
+                shift = LW.velocity_a * (np.arange(len(levels))
+                                         * grid.dt)[:, None]
+                for measure in ("midpoint", "cell_average"):
+                    linf, l2 = _row_norms(
+                        levels, _full_width_reference(d, grid, shift, measure,
+                                                      gate=True), grid.dx)
+                    if measure == conv:
+                        assert np.array_equal(run.linf_history, linf), case
+                        assert np.array_equal(run.l2_history, l2), case
+                    rep = error_metrics(run, convention=measure)
+                    assert (rep.linf_sup, rep.l2_sup, rep.linf_final) == \
+                        (np.max(linf), np.max(l2), linf[-1]), (case, measure)
+                if d.support_min is None or d.support_min < 0.5:
+                    continue
+                # the half-line run measures against the ungated datum
+                steps = 12
+                res = run_halfline_outflow(d, grid, LW, 1, steps,
+                                           convention=conv)
+                levels = [res.initial_interior]
+                state = initial_state(d, grid, LW, conv)
+                for _ in range(steps):
+                    state = step(state, LW, BoundarySpec(1))
+                    levels.append(state.interior)
+                shift = ((LW.velocity_a * np.arange(steps + 1))
+                         * grid.dt)[:, None]
+                linf, l2 = _row_norms(
+                    np.array(levels),
+                    _full_width_reference(d, grid, shift, conv, gate=False),
+                    grid.dx)
+                assert np.array_equal(res.linf_history, linf), case
+                assert np.array_equal(res.l2_history, l2), case
+
+
+def test_datum_is_evaluated_only_on_live_columns():
+    # every point where the datum is evaluated for a block of reference
+    # values lies at most a few cells left of its support, shifted by the
+    # block's smallest shift (a > 0: its first row)
+    x0 = 0.6
+    calls = []
+    bump = _bump(x0, 0.3)
+
+    def fn(x):
+        calls.append(np.array(x))
+        return bump(x)
+    d = CallableDatum(fn, support_min=x0)
+    grid = GridSpec(L=1.0, J=160, lam=LW.lam)
+    times = np.arange(30) * grid.dt
+
+    def lowest_point(run, ndim):
+        calls.clear()
+        run()
+        firsts = [x if x.ndim == 1 else x[0] for x in calls if x.ndim == ndim]
+        assert firsts
+        return min(float(np.min(x)) for x in firsts)
+
+    floor = x0 - 3 * grid.dx
+    for conv in ("midpoint", "cell_average"):
+        assert lowest_point(
+            lambda: reference_values(d, grid, times, 1.0, conv), 2) >= floor
+        assert lowest_point(
+            lambda: reference_values(d, grid, times[7], 1.0, conv), 1) >= floor
+        # the runs' 2-D calls are their per-block reference values (the
+        # initial state is one 1-D call on the whole grid)
+        assert lowest_point(
+            lambda: run_interval(d, grid, LW, BoundarySpec(1), 0.5,
+                                 convention=conv), 2) >= floor
+        full = run_interval(d, grid, LW, BoundarySpec(1), 0.5,
+                            record="full_history", convention=conv)
+        other = "midpoint" if conv == "cell_average" else "cell_average"
+        assert lowest_point(
+            lambda: error_metrics(full, convention=other), 2) >= floor
+        assert lowest_point(
+            lambda: run_halfline_outflow(d, grid, LW, 1, 20,
+                                         convention=conv), 2) >= floor
