@@ -13,6 +13,12 @@ leaves the dissipation functional ``sum_k d_k sum_j (v_{j+k-r} - v_{j-r})^2``,
 which is nonpositive exactly when the stencil is l2-stable.  Rewriting ``T``
 in difference coordinates centered at the stencil origin produces the
 boundary form ``Q`` whose value on the center direction is ``-lambda a``.
+
+The balance itself is computed by one row kernel, ``_balance_rows``, for a
+batch of equal-length sequences at once; ``verify_energy_balance`` is that
+kernel on one row, and ``energy-check`` runs it once per sequence length
+of a chunk of random trials.  Each row's numbers have the same bits in any
+batch.
 """
 from __future__ import annotations
 
@@ -215,6 +221,41 @@ def _cached_dissipation(stencil: SchemeStencil) -> np.ndarray:
     return d
 
 
+def _balance_rows(stencil: SchemeStencil, rows: np.ndarray,
+                  dx: float = 1.0) -> tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
+    """``(lhs, rhs, residual)`` of :func:`verify_energy_balance`, as arrays,
+    for each row of the 2-D array ``rows`` (one sequence per row, all of
+    one length).
+
+    Each row gets exactly the arithmetic of a one-row call: the step is
+    ``_next_level`` applied to the transposed rows (one ordered
+    multiply-add per offset, which is also what the march's kernel does
+    for a single level), and every sum is ``np.sum`` along a contiguous
+    row, which sums a row pairwise just as it sums a 1-D sequence of that
+    length.  Rows of different lengths must therefore not share a call:
+    zero padding would change the pairwise sums.
+    """
+    d = _cached_dissipation(stencil)
+    r, p = stencil.r, stencil.p
+    pad = r + p
+    n, length = rows.shape
+    # vv holds the rows zero-extended by pad cells each side; the stencil
+    # reads r more zeros left and p more right of them
+    ext = np.zeros((n, length + 2 * pad + r + p))
+    vv = ext[:, r:ext.shape[1] - p]
+    vv[:, pad:pad + length] = rows
+    stepped = np.empty(vv.shape)
+    _next_level(stencil.coeff_array, ext.T, stepped.T)
+    lhs = dx * (np.sum(stepped * stepped, axis=1) - np.sum(vv * vv, axis=1))
+
+    rhs = np.zeros(n)
+    for k, dk in enumerate(d, start=1):
+        diffs = vv[:, k:] - vv[:, :-k]
+        rhs += float(dk) * dx * np.sum(diffs * diffs, axis=1)
+    return lhs, rhs, np.abs(lhs - rhs)
+
+
 def verify_energy_balance(stencil: SchemeStencil, test_sequence,
                           dx: float = 1.0,
                           strict: bool = True) -> tuple[float, float, float]:
@@ -225,8 +266,10 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     ``rhs = sum_k d_k * dx * sum_j (v_{j+k-r} - v_{j-r})^2``.
     The two agree to rounding because the telescoping form cancels on the
     whole line.  The step is taken by the march's stencil kernel on the
-    zero-extended sequence; ``d`` is computed once per stencil and reused
-    by later calls.  With ``strict`` (default), an l2-stable
+    zero-extended sequence, through the row kernel that ``energy-check``
+    runs on its batches of equal-length sequences, so a sequence gets the
+    same bits alone or in a batch; ``d`` is computed once per stencil and
+    reused by later calls.  With ``strict`` (default), an l2-stable
     stencil must show a nonpositive ``rhs`` (up to 1e-12 of the sequence
     energy); a violation raises, since it would mean the decomposition
     itself is wrong.
@@ -234,22 +277,8 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     v = np.asarray(test_sequence, dtype=float)
     if v.ndim != 1:
         raise ValueError("test sequence must be one-dimensional")
-    r, p = stencil.r, stencil.p
-    pad = r + p
-    # vv is v zero-extended by pad cells each side; the stencil reads r
-    # more zeros left and p more right of it
-    ext = np.zeros(len(v) + 2 * pad + r + p)
-    vv = ext[r:len(ext) - p]
-    vv[pad:pad + len(v)] = v
-    stepped = np.empty_like(vv)
-    _next_level(stencil.coeff_array, ext, stepped)
-    lhs = dx * float(np.sum(stepped * stepped) - np.sum(vv * vv))
-
-    rhs = 0.0
-    for k, dk in enumerate(_cached_dissipation(stencil), start=1):
-        diffs = vv[k:] - vv[:-k]
-        rhs += float(dk) * dx * float(np.sum(diffs * diffs))
-    residual = abs(lhs - rhs)
+    lhs, rhs, residual = (float(x[0]) for x in
+                          _balance_rows(stencil, v[None, :], dx))
     if strict:
         scale = max(1.0, dx * float(np.dot(v, v)))
         if _cached_stability(stencil).is_stable and rhs > 1e-12 * scale:

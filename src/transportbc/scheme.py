@@ -184,7 +184,11 @@ def check_l2_stability(stencil: SchemeStencil, samples: int = 4096,
 
     h = 2.0 * np.pi / samples
     lo, hi = best_theta - h, best_theta + h
-    f = lambda th: abs(symbol(stencil, th))
+    # abs(symbol(stencil, th)) by the same ufuncs on the same shapes, with
+    # the arrays that do not depend on the angle built once
+    phase = 1j * stencil.offsets
+    coeffs = stencil.coeff_array
+    f = lambda th: abs(complex(np.sum(coeffs * np.exp(phase * th), axis=0)))
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)

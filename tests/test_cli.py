@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import transportbc
 from transportbc import GridSpec, PowerPlusDatum, format_stencil, make_builtin
+from transportbc import cli
 from transportbc.cli import main
 
 from _reference import REFERENCE_SUP_ERRORS
@@ -169,6 +171,39 @@ def test_energy_check_unstable_note(capsys):
     out = capsys.readouterr().out
     assert "not l2-stable" in out
     assert "FAIL" not in out
+
+
+# energy-check and verify texts and exit codes recorded before energy-check
+# balanced its trials in batches: the builtins, an unstable ratio, a
+# consistent r=3, p=1 stencil, a stable and an unstable custom one and an
+# inconsistent one (exit 1), at several trial counts and seeds
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_energy_verify.json").read_text())
+
+
+def _call(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return {"exit": code, "stdout": captured.out, "stderr": captured.err}
+
+
+@pytest.mark.parametrize("case", GOLDEN,
+                         ids=[f"{i}-{c['argv'][0]}"
+                              for i, c in enumerate(GOLDEN)])
+def test_recorded_outputs_are_reproduced(case, capsys):
+    got = _call(case["argv"], capsys)
+    assert got == {k: case[k] for k in ("exit", "stdout", "stderr")}
+
+
+@pytest.mark.parametrize("chunk", [1, 2 ** 30])
+def test_energy_check_output_does_not_depend_on_chunk(chunk, monkeypatch,
+                                                      capsys):
+    cases = [c for c in GOLDEN if c["argv"][0] == "energy-check"]
+    assert any("1500" in c["argv"] for c in cases)  # spans several chunks
+    monkeypatch.setattr(cli, "_TRIAL_CHUNK", chunk)
+    for case in cases:
+        got = _call(case["argv"], capsys)
+        assert got == {k: case[k] for k in ("exit", "stdout", "stderr")}
 
 
 def test_energy_check_rejects_negative_trials(capsys):

@@ -297,3 +297,65 @@ def test_boundary_form_is_callable_dataclass():
     Q = BoundaryForm(Q=np.array([[2.0, 0.0], [0.0, 1.0]]), r=1)
     assert Q([1.0, 3.0]) == pytest.approx(11.0)
     assert Q.center_value() == pytest.approx(2.0)
+
+
+def _lagrange_stencil(width, rng):
+    """Consistent stencil of ``width`` coefficients: the Lagrange weights of
+    the characteristic foot ``-lam a`` on the nodes ``-r..p``."""
+    r = int(rng.integers(1, width))
+    p = width - 1 - r
+    la = float(rng.uniform(0.05, 0.95))
+    nodes = range(-r, p + 1)
+    w = [float(np.prod([(-la - k) / (j - k) for k in nodes if k != j]))
+         for j in nodes]
+    return SchemeStencil(r=r, p=p, coeffs=tuple(w), velocity_a=1.0, lam=la)
+
+
+def _plain_balance(st, v, dx):
+    """The one-step balance written as plain loops: the step cell by cell,
+    in order from zero, and one difference sum per ``d_k``."""
+    r, p = st.r, st.p
+    pad = r + p
+    vv = np.concatenate([np.zeros(pad), v, np.zeros(pad)])
+    ext = np.concatenate([np.zeros(r), vv, np.zeros(p)])
+    stepped = np.zeros_like(vv)
+    for j in range(len(vv)):
+        acc = 0.0
+        for i, c in enumerate(st.coeffs):
+            acc += c * ext[j + i]
+        stepped[j] = acc
+    lhs = dx * float(np.sum(stepped * stepped) - np.sum(vv * vv))
+    rhs = 0.0
+    for k, dk in enumerate(dissipation_and_boundary_form(st)[0], start=1):
+        diffs = vv[k:] - vv[:-k]
+        rhs += float(dk) * dx * float(np.sum(diffs * diffs))
+    return lhs, rhs, abs(lhs - rhs)
+
+
+def _same_bits(a, b):
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+@pytest.mark.parametrize("width", range(2, 15))
+def test_balance_rows_are_bit_exact_per_row(width):
+    # a row's (lhs, rhs, residual) in a batch has the bits of the one-row
+    # call, of verify_energy_balance and of a plain loop, signed zeros
+    # included, at lengths whose pairwise sums split differently
+    rng = np.random.default_rng(7300 + width)
+    st = _lagrange_stencil(width, rng)
+    dx = (1.0, 0.37)[width % 2]
+    for length in range(1, 41):
+        rows = rng.uniform(-1.0, 1.0, (4, length))
+        rows[rng.random(rows.shape) < 0.3] = -0.0
+        rows[rng.random(rows.shape) < 0.15] = 0.0
+        rows[1] = -0.0 if length % 2 else 0.0
+        batch = energy._balance_rows(st, rows, dx)
+        for i, v in enumerate(rows):
+            one = [float(x[0]) for x in
+                   energy._balance_rows(st, rows[i:i + 1], dx)]
+            plain = _plain_balance(st, v, dx)
+            single = verify_energy_balance(st, v, dx=dx, strict=False)
+            for got, a, b, c in zip((x[i] for x in batch), one, plain,
+                                    single):
+                assert _same_bits(float(got), a), (width, length, i)
+                assert _same_bits(a, b) and _same_bits(b, c), (width, length)

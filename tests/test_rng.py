@@ -73,3 +73,57 @@ def test_integer_bounds_and_coverage():
     assert all(gen.integer(1) == 0 for _ in range(10))
     with pytest.raises(ValueError, match="positive"):
         gen.integer(0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 33, 1000])
+def test_batch_loop_matches_single_draws(n):
+    batch, single = Xoshiro256StarStar(99), Xoshiro256StarStar(99)
+    assert batch._outputs(n) == [single.next_u64() for _ in range(n)]
+    assert batch._s == single._s
+    u = Xoshiro256StarStar(99).uniforms(n)
+    s = Xoshiro256StarStar(99).symmetric(n)
+    single = Xoshiro256StarStar(99)
+    want = [single.uniform() for _ in range(n)]
+    assert u.shape == s.shape == (n,) and u.dtype == s.dtype == float
+    assert u.tolist() == want
+    assert s.tolist() == [2.0 * x - 1.0 for x in want]
+
+
+def test_mixed_draws_keep_the_stream():
+    # recorded before the draws went through one batch loop; floats as hex
+    gen = Xoshiro256StarStar(2026)
+    hexes = lambda a: [float(x).hex() for x in a]
+    assert gen.integer(28) == 25
+    assert hexes(gen.symmetric(3)) == [
+        "-0x1.bb06435c94974p-2", "0x1.4002789e76736p-1",
+        "0x1.931f729e1b558p-1"]
+    assert gen.integer(7) == 4
+    assert hexes(gen.uniforms(2)) == ["0x1.93db6347f29eep-1",
+                                      "0x1.aadc689cb1b74p-1"]
+    assert gen.integer(2 ** 64) == 15290312516027121239
+    assert gen.uniform().hex() == "0x1.b8d6a5d598b74p-1"
+    # about half of the draws for this bound are rejected
+    assert [gen.integer(2 ** 63 + 1) for _ in range(4)] == [
+        4387954702302482133, 5896734817366394376, 8758663803119997889,
+        4003922312431441633]
+    assert hexes(gen.symmetric(1)) == ["-0x1.4166daa567cf6p-1"]
+    assert gen.next_u64() == 13664904493393896819
+
+
+def test_draw_arguments_are_validated():
+    gen = Xoshiro256StarStar(3)
+    state = list(gen._s)
+    for bound in (2 ** 64 + 1, 2 ** 65, -1):
+        with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+            gen.integer(bound)
+    for bound in (28.0, "28", None):
+        with pytest.raises(TypeError):
+            gen.integer(bound)
+    for draw in (gen.uniforms, gen.symmetric):
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw(-2)
+        with pytest.raises(TypeError):
+            draw(2.0)
+    assert gen._s == state  # a rejected argument draws nothing
+    assert gen.integer(np.int64(28)) == Xoshiro256StarStar(3).integer(28)
+    assert type(gen.integer(np.int64(28))) is int

@@ -146,6 +146,48 @@ def test_stability_maximum_matches_dense_scan():
         assert res.max_modulus <= brute + 1e-6
 
 
+def _stability_by_symbol(st, samples=4096, tol=1e-9):
+    """check_l2_stability's search written with a fresh ``symbol`` call
+    for every angle."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    mods = np.abs(symbol(st, thetas))
+    k = int(np.argmax(mods))
+    best_theta, best = float(thetas[k]), float(mods[k])
+    h = 2.0 * np.pi / samples
+    lo, hi = best_theta - h, best_theta + h
+    f = lambda th: abs(symbol(st, th))
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 1e-12:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+    mid = 0.5 * (lo + hi)
+    if f(mid) > best:
+        best, best_theta = f(mid), mid % (2.0 * np.pi)
+    return best <= 1.0 + tol, best, best_theta
+
+
+def test_stability_search_has_the_bits_of_the_symbol():
+    rng = np.random.default_rng(1811)
+    stencils = [make_builtin(name, 1.0, lam, enforce_cfl=False)
+                for name in BUILTIN_SCHEMES
+                for lam in (0.3, 0.7, 1.1)]
+    for _ in range(40):
+        r, p = (int(x) for x in rng.integers(0, 6, 2))
+        stencils.append(SchemeStencil(
+            r=r, p=p, coeffs=tuple(rng.uniform(-1, 1, r + p + 1)),
+            velocity_a=1.0, lam=0.5))
+    for st in stencils:
+        assert tuple(check_l2_stability(st)) == _stability_by_symbol(st)
+
+
 def test_parse_stencil_reference_string():
     st = parse_stencil("r=1,p=1,a=-1:0.595,0:0.51,1:-0.105;vel=1;lambda=0.7")
     assert st.r == 1 and st.p == 1
