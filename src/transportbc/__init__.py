@@ -8,9 +8,7 @@ spectra, and refinement studies.
 """
 from .boundary import (BoundarySpec, backward_difference, fill_inflow_ghosts,
                        fill_outflow_ghosts)
-from .energy import (BoundaryForm, QuadDecomposition, SymmetricForm,
-                     amplification_expression, build_amplification_form,
-                     decompose_zero_sum_form, dissipation_and_boundary_form,
+from .energy import (BoundaryForm, dissipation_and_boundary_form,
                      verify_energy_balance)
 from .rng import Xoshiro256StarStar
 from .scheme import (BUILTIN_SCHEMES, ConsistencyReport, SchemeStencil,
@@ -48,24 +46,19 @@ __all__ = [
     "HalflineResult",
     "PowerPlusDatum",
     "PseudospectrumGrid",
-    "QuadDecomposition",
     "RunResult",
     "SchemeStencil",
     "SpectralReport",
     "StabilityResult",
-    "SymmetricForm",
     "TransitionMatrix",
     "Xoshiro256StarStar",
-    "amplification_expression",
     "assemble_transition_matrix",
     "backward_difference",
-    "build_amplification_form",
     "build_report",
     "check_l2_stability",
     "consistency_error_field",
     "consistency_order",
     "convergence_study",
-    "decompose_zero_sum_form",
     "dissipation_and_boundary_form",
     "eigenvalue_path",
     "eigenvalues",

@@ -2,16 +2,19 @@ r"""Discrete integration by parts for the one-step energy change.
 
 The quadratic form ``2 v_0 (S v - v_0) + (S v - v_0)^2`` (with ``S v`` the
 stencil applied at offset 0) has the all-ones vector in its isotropic cone
-whenever the coefficients sum to one.  Every zero-sum symmetric form splits,
+whenever the coefficients sum to one.  Its matrix ``S`` then splits,
 uniquely, into squared differences against the first coordinate plus a
 telescoping pair of copies of a smaller form:
 
     S = embed_last(T) - embed_first(T) + sum_k d_k * (e_1 - e_{1+k})(...)^T
 
-Summing the stencil form over all cells telescopes the ``T`` terms away and
-leaves the dissipation functional ``sum_k d_k sum_j (v_{j+k-r} - v_{j-r})^2``,
-which is nonpositive exactly when the stencil is l2-stable.  Rewriting ``T``
-in difference coordinates centered at the stencil origin produces the
+The split is in closed form (``_energy_split``): ``-d_k`` is the sum along
+the ``k``-th diagonal of ``S``, and ``T`` holds the partial sums along the
+same diagonals, so no linear system is solved.  Summing the stencil form
+over all cells telescopes the ``T`` terms away and leaves the dissipation
+functional ``sum_k d_k sum_j (v_{j+k-r} - v_{j-r})^2``, which is
+nonpositive exactly when the stencil is l2-stable.  Rewriting ``T`` in
+difference coordinates centered at the stencil origin produces the
 boundary form ``Q`` whose value on the center direction is ``-lambda a``.
 
 The balance itself is computed by one row kernel, ``_balance_rows``, for a
@@ -22,7 +25,6 @@ batch.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,57 +32,6 @@ import numpy as np
 
 from .scheme import SchemeStencil, check_l2_stability, consistency_order
 from .solver import _next_level
-
-
-@dataclass
-class SymmetricForm:
-    """A real symmetric matrix viewed as a quadratic form."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        S = np.asarray(self.matrix, dtype=float)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError("form matrix must be square")
-        if S.shape[0] < 1:
-            raise ValueError("form must have at least one coordinate")
-        if not np.array_equal(S, S.T):
-            raise ValueError("form matrix must be exactly symmetric")
-        self.matrix = S
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-    def zero_sum_residual(self) -> float:
-        return abs(float(np.sum(self.matrix)))
-
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(x @ self.matrix @ x)
-
-
-@dataclass
-class QuadDecomposition:
-    """Split of a zero-sum form: reduced telescoping form plus difference
-    squares weighted by ``d``."""
-
-    reduced: np.ndarray
-    d: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the original m x m matrix from (reduced, d)."""
-        T = self.reduced
-        m = T.shape[0] + 1
-        S = np.zeros((m, m))
-        S[1:, 1:] += T
-        S[:m - 1, :m - 1] -= T
-        for k, dk in enumerate(self.d, start=1):
-            S[0, 0] += dk
-            S[k, k] += dk
-            S[0, k] -= dk
-            S[k, 0] -= dk
-        return S
 
 
 @dataclass
@@ -100,70 +51,36 @@ class BoundaryForm:
         return float(self.Q[self.r - 1, self.r - 1])
 
 
-def amplification_expression(stencil: SchemeStencil, window) -> float:
-    """Scalar ``2 v_0 (sum_l a_l v_l - v_0) + (sum_l a_l v_l - v_0)^2``
-    on a window ``(v_{-r}, ..., v_p)``."""
-    window = np.asarray(window, dtype=float)
-    if window.shape != (stencil.r + stencil.p + 1,):
-        raise ValueError("window length must be r + p + 1")
-    v0 = window[stencil.r]
-    delta = float(np.dot(stencil.coeff_array, window)) - v0
-    return 2.0 * v0 * delta + delta * delta
+def _energy_split(stencil: SchemeStencil) -> tuple[np.ndarray, np.ndarray]:
+    """Dissipation weights ``d`` and reduced form ``T`` of the stencil's
+    one-step form ``S = e0 w'^T + w' e0^T + w' w'^T`` (``w' = w - e0``).
 
-
-def build_amplification_form(stencil: SchemeStencil) -> SymmetricForm:
-    """Matrix of the one-step energy-change form on ``(v_{-r}, ..., v_p)``.
-
-    Built as ``e0 w'^T + w' e0^T + w' w'^T`` with ``w`` the coefficient
-    array and ``w' = w - e0``; exactly symmetric by construction and
-    zero-sum whenever the coefficients sum to one.
+    ``-d_k`` is the sum along the ``k``-th diagonal of ``S``, and each
+    off-diagonal ``T[i, i+k]`` the part of that sum from ``S[i+1, i+1+k]``
+    on; both are added from the bottom-right end.  The diagonal of ``T``
+    follows from ``T[k-1, k-1] = (S[k, k] + T[k, k]) - d_k``.  This order
+    gives ``d`` the bits ``verify`` prints; ``-np.correlate(w, w)`` is the
+    same sum in another order.  Consistency (unit coefficient sum) is the
+    caller's to check.
     """
-    if abs(math.fsum(stencil.coeffs) - 1.0) > 1e-12:
-        raise ValueError("coefficients must sum to 1 so the constant "
-                         "vector is isotropic for the energy form")
     w = stencil.coeff_array
     e0 = np.zeros_like(w)
     e0[stencil.r] = 1.0
     wp = w - e0
-    S = np.outer(e0, wp) + np.outer(wp, e0) + np.outer(wp, wp)
-    return SymmetricForm(S)
-
-
-def decompose_zero_sum_form(form: SymmetricForm) -> QuadDecomposition:
-    """Unique split of a zero-sum symmetric form.
-
-    Peels the last coordinate: the corner entry fixes ``d_{m-1}``, the last
-    column fixes the last column of the reduced form, and subtracting the
-    determined pieces leaves a smaller zero-sum problem of the same shape.
-    O(m^2) and exact up to rounding; no linear system is solved.
-    """
-    S = form.matrix
-    if form.m < 2:
-        raise ValueError("only forms of size >= 2 decompose")
-    tol = 1e-12 * float(np.max(np.abs(S)))
-    if form.zero_sum_residual() > tol:
-        raise ValueError(
-            f"form entries sum to {np.sum(S):.3e}, not 0; "
-            "only zero-sum forms decompose"
-        )
-    m = form.m
-    T = np.zeros((m - 1, m - 1))
-    d = np.zeros(m - 1)
-    W = S.copy()
-    for size in range(m, 1, -1):
-        k = size - 1  # 1-based index of the difference coefficient fixed now
-        d[k - 1] = -W[0, size - 1]
-        for i in range(1, size - 1):
-            T[i - 1, k - 1] = W[i, size - 1]
-            T[k - 1, i - 1] = W[i, size - 1]
-        T[k - 1, k - 1] = W[size - 1, size - 1] - d[k - 1]
-        # Fold the determined pieces back into the leading principal block.
-        W[0, 0] -= d[k - 1]
-        for i in range(size - 2):
-            W[i, size - 2] += T[i, k - 1]
-            W[size - 2, i] += T[k - 1, i]
-        W[size - 2, size - 2] += T[k - 1, k - 1]
-    return QuadDecomposition(reduced=T, d=d)
+    W = np.outer(e0, wp) + np.outer(wp, e0) + np.outer(wp, wp)
+    m = len(w)
+    # above the diagonal, W[i, j] becomes S[i, j] + W[i+1, j+1]
+    for i in range(m - 3, -1, -1):
+        W[i, i + 1:m - 1] += W[i + 1, i + 2:]
+    d = -W[0, 1:]
+    T = W[1:, 1:].copy()
+    lower = np.tril_indices(m - 1, -1)
+    T[lower] = T.T[lower]
+    acc = W[m - 1, m - 1]
+    for k in range(m - 1, 0, -1):
+        T[k - 1, k - 1] = acc - d[k - 1]
+        acc = W[k - 1, k - 1] + T[k - 1, k - 1]
+    return d, T
 
 
 def _difference_coordinates_inverse(r: int, p: int) -> np.ndarray:
@@ -184,7 +101,7 @@ def dissipation_and_boundary_form(
         stencil: SchemeStencil) -> tuple[np.ndarray, BoundaryForm]:
     """Dissipation coefficients ``d_1..d_{p+r}`` and boundary form ``Q``.
 
-    ``Q`` is the reduced form of the decomposition conjugated into the
+    ``Q`` is the reduced form ``T`` of the split conjugated into the
     difference coordinates; its value on the center direction must come out
     as ``-lambda a`` (asserted), which is what makes the boundary term in
     the summed energy balance strictly damping.
@@ -193,9 +110,9 @@ def dissipation_and_boundary_form(
     if report.order < 1:
         raise ValueError("boundary form needs a first-order consistent "
                          f"stencil (moment {report.failed_moment} fails)")
-    dec = decompose_zero_sum_form(build_amplification_form(stencil))
+    d, T = _energy_split(stencil)
     Minv = _difference_coordinates_inverse(stencil.r, stencil.p)
-    Q = Minv.T @ dec.reduced @ Minv
+    Q = Minv.T @ T @ Minv
     Q = 0.5 * (Q + Q.T)  # re-symmetrize exactly after the two products
     la = stencil.lam * stencil.velocity_a
     center = Q[stencil.r - 1, stencil.r - 1]
@@ -204,7 +121,7 @@ def dissipation_and_boundary_form(
             f"boundary form center value {center:.17g} differs from "
             f"-lambda*a = {-la:.17g}"
         )
-    return dec.d, BoundaryForm(Q=Q, r=stencil.r)
+    return d, BoundaryForm(Q=Q, r=stencil.r)
 
 
 @lru_cache(maxsize=128)
@@ -271,8 +188,8 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     same bits alone or in a batch; ``d`` is computed once per stencil and
     reused by later calls.  With ``strict`` (default), an l2-stable
     stencil must show a nonpositive ``rhs`` (up to 1e-12 of the sequence
-    energy); a violation raises, since it would mean the decomposition
-    itself is wrong.
+    energy); a violation raises, since it would mean the split itself is
+    wrong.
     """
     v = np.asarray(test_sequence, dtype=float)
     if v.ndim != 1:

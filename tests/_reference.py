@@ -106,6 +106,38 @@ def naive_amplification(coeffs, r, window):
     return 2.0 * v0 * (s - v0) + (s - v0) ** 2
 
 
+def naive_energy_split(coeffs, r):
+    """Dissipation weights ``d`` and reduced form ``T`` of the one-step form
+    by peeling it one coordinate at a time, last coordinate first.
+
+    The form is ``e0 w'^T + w' e0^T + w' w'^T`` with ``w' = w - e0``,
+    entry by entry.  Each peel reads ``d_k`` off the first row's last
+    entry, the last column of ``T`` off the rest of that column, and folds
+    the determined pieces back into the leading block.  Returns plain
+    nested lists.
+    """
+    m = len(coeffs)
+    wp = [float(c) - (1.0 if i == r else 0.0) for i, c in enumerate(coeffs)]
+    e0 = [1.0 if i == r else 0.0 for i in range(m)]
+    W = [[e0[i] * wp[j] + wp[i] * e0[j] + wp[i] * wp[j] for j in range(m)]
+         for i in range(m)]
+    d = [0.0] * (m - 1)
+    T = [[0.0] * (m - 1) for _ in range(m - 1)]
+    for size in range(m, 1, -1):
+        k = size - 1
+        d[k - 1] = -W[0][size - 1]
+        for i in range(1, size - 1):
+            T[i - 1][k - 1] = W[i][size - 1]
+            T[k - 1][i - 1] = W[i][size - 1]
+        T[k - 1][k - 1] = W[size - 1][size - 1] - d[k - 1]
+        W[0][0] -= d[k - 1]
+        for i in range(size - 2):
+            W[i][size - 2] += T[i][k - 1]
+            W[size - 2][i] += T[k - 1][i]
+        W[size - 2][size - 2] += T[k - 1][k - 1]
+    return d, T
+
+
 def naive_backward_difference(values, m, index):
     """m-th backward difference at ``index`` by recursion."""
     if m == 0:

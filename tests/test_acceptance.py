@@ -12,12 +12,12 @@ import time
 
 import numpy as np
 
-from _reference import REFERENCE_SPECTRA, REFERENCE_SUP_ERRORS
-from transportbc.energy import (SymmetricForm, decompose_zero_sum_form,
-                                dissipation_and_boundary_form,
+from _reference import (REFERENCE_SPECTRA, REFERENCE_SUP_ERRORS,
+                        naive_amplification)
+from transportbc.energy import (_energy_split, dissipation_and_boundary_form,
                                 verify_energy_balance)
 from transportbc.rng import Xoshiro256StarStar
-from transportbc.scheme import make_builtin
+from transportbc.scheme import SchemeStencil, make_builtin
 from transportbc.solver import (BoundarySpec, CallableDatum, FieldState,
                                 GridSpec, PowerPlusDatum, convergence_study,
                                 error_metrics, n_steps, run_halfline_outflow,
@@ -162,32 +162,45 @@ def test_energy_balance_identity_on_random_sequences():
 
 
 def test_zero_sum_form_decomposition_roundtrip():
-    # 1000 seeded random zero-sum symmetric forms, sizes 2..12: the
-    # difference-coordinate split reconstructs the form within
-    # 1e-12 * max|S|, and re-decomposing the reconstruction returns the
-    # same (reduced form, dissipation weights) at the same tolerance.
+    # 1000 seeded random first-order consistent stencils, sizes 2..12: the
+    # one-step form S, built here by polarizing the scalar energy change,
+    # is rebuilt from the split (d, T) within 1e-12 * max|S|, and d is the
+    # negative autocorrelation of the coefficients at the same tolerance.
     bad = []
     for trial in range(1000):
         gen = Xoshiro256StarStar(5000 + trial)
         m = 2 + gen.integer(11)
-        A = gen.symmetric(m * m).reshape(m, m)
-        S = A + A.T
-        S = S - np.sum(S) / (m * m)
+        r = gen.integer(m)
+        lam = 0.05 + 0.9 * gen.uniform()
+        w = 0.3 * gen.symmetric(m)
+        ell = np.arange(-r, m - r, dtype=float)
+        w[[0, -1]] = np.linalg.solve(
+            [[1.0, 1.0], [ell[0], ell[-1]]],
+            [1.0 - w[1:-1].sum(), -lam - float(np.dot(ell[1:-1], w[1:-1]))])
+        coeffs = tuple(w.tolist())
+        eye = np.eye(m)
+        S = np.array([[naive_amplification(coeffs, r, eye[i] + eye[j])
+                       - naive_amplification(coeffs, r, eye[i] - eye[j])
+                       for j in range(m)] for i in range(m)]) / 4.0
         tol = 1e-12 * max(1.0, float(np.max(np.abs(S))))
-        dec = decompose_zero_sum_form(SymmetricForm(S))
-        rec = dec.reconstruct()
+        st = SchemeStencil(r=r, p=m - 1 - r, coeffs=coeffs, velocity_a=1.0,
+                           lam=lam)
+        d, T = _energy_split(st)
+        rec = np.zeros((m, m))
+        rec[1:, 1:] += T
+        rec[:-1, :-1] -= T
+        for k, dk in enumerate(d, start=1):
+            diff = eye[0] - eye[k]
+            rec += dk * np.outer(diff, diff)
         err = float(np.max(np.abs(rec - S)))
         if err > tol:
             bad.append(f"trial {trial} (m={m}): reconstruction off by "
                        f"{err:.3e}")
-        again = decompose_zero_sum_form(SymmetricForm(rec))
-        dT = float(np.max(np.abs(again.reduced - dec.reduced))) \
-            if dec.reduced.size else 0.0
-        dd = float(np.max(np.abs(again.d - dec.d))) if dec.d.size else 0.0
-        if max(dT, dd) > tol:
-            bad.append(f"trial {trial} (m={m}): re-decomposition drifted "
-                       f"by {max(dT, dd):.3e}")
-    assert not bad, "decomposition roundtrip failures:\n" + \
+        dd = float(np.max(np.abs(d + np.correlate(w, w, "full")[m:])))
+        if dd > tol:
+            bad.append(f"trial {trial} (m={m}): d differs from the "
+                       f"autocorrelation by {dd:.3e}")
+    assert not bad, "energy split roundtrip failures:\n" + \
         "\n".join(bad[:20])
 
 

@@ -83,6 +83,24 @@ def test_run_multi_kb_columns_and_t_zero(capsys):
         assert row[5] == row[6] == row[7] == "0.0"
 
 
+def test_parser_is_reused_and_keeps_its_defaults(capsys):
+    assert cli._parser() is cli._parser()
+    assert main(["run", "--J", "8", "--T", "0", "--kb", "0,2"]) == 0
+    assert "# kb=0,2" in _lines(capsys)
+    assert main(["run", "--J", "8", "--T", "0"]) == 0
+    assert "# kb=1" in _lines(capsys)
+    assert cli._parser().parse_args(["run"]).kb == [1]
+
+
+def test_small_lambda_builtins_are_accepted(capsys):
+    assert main(["verify", "--scheme", "lax-wendroff", "--lambda",
+                 "1e-4"]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+    assert main(["energy-check", "--scheme", "upwind", "--lambda",
+                 "1e-5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_run_requires_grid_size(capsys):
     assert main(["run"]) == 1
     assert "--J" in capsys.readouterr().err

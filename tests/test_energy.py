@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from _reference import naive_amplification, naive_energy_split
 from transportbc import energy
-from transportbc import (BoundaryForm, QuadDecomposition, SchemeStencil,
-                         SymmetricForm, amplification_expression,
-                         build_amplification_form, decompose_zero_sum_form,
-                         dissipation_and_boundary_form, make_builtin,
-                         verify_energy_balance)
+from transportbc import (BoundaryForm, SchemeStencil,
+                         dissipation_and_boundary_form, format_stencil,
+                         make_builtin, verify_energy_balance)
 
 BUILTINS = ["upwind", "lax_friedrichs", "lax_wendroff"]
 
@@ -26,92 +25,35 @@ def _difference_coords(w, r):
     return z
 
 
-def test_symmetric_form_validation():
-    with pytest.raises(ValueError, match="square"):
-        SymmetricForm(np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="symmetric"):
-        SymmetricForm(np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]]))
-    f = SymmetricForm(np.array([[2.0]]))
-    assert f.m == 1 and f([3.0]) == pytest.approx(18.0)
-    g = SymmetricForm(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    assert g.zero_sum_residual() == 0.0
-    assert g([1.0, 4.0]) == pytest.approx(9.0)
-
-
-def test_amplification_form_upwind_entries():
-    up = make_builtin("upwind", 1.0, 0.5)
-    S = build_amplification_form(up).matrix
-    # window (v_{-1}, v_0): new^2 - v_0^2 = .25 x^2 + .5 x y - .75 y^2
-    assert S == pytest.approx(np.array([[0.25, 0.25], [0.25, -0.75]]))
-
-
-def test_amplification_form_matches_scalar_expression():
-    rng = np.random.default_rng(7)
-    for name in BUILTINS:
-        st = make_builtin(name, 1.0, 0.7)
-        form = build_amplification_form(st)
-        assert form.zero_sum_residual() <= 1e-14
-        ones = np.ones(form.m)
-        assert abs(form(ones)) <= 1e-12
-        for _ in range(50):
-            v = rng.uniform(-2, 2, form.m)
-            assert form(v) == pytest.approx(
-                amplification_expression(st, v), rel=1e-12, abs=1e-12)
-    with pytest.raises(ValueError, match="window length"):
-        amplification_expression(make_builtin("upwind", 1.0, 0.5), [1.0])
-
-
 def test_amplification_form_needs_unit_coefficient_sum():
     st = SchemeStencil(r=1, p=0, coeffs=(0.5, 0.4), velocity_a=1.0, lam=0.5)
-    with pytest.raises(ValueError, match="sum to 1"):
-        build_amplification_form(st)
+    with pytest.raises(ValueError, match="moment 0 fails"):
+        dissipation_and_boundary_form(st)
 
 
 def test_identity_stencil_gives_zero_form():
     ident = SchemeStencil(r=0, p=0, coeffs=(1.0,), velocity_a=1.0, lam=0.7)
-    form = build_amplification_form(ident)
-    assert form.m == 1
-    assert form.matrix == pytest.approx(np.zeros((1, 1)))
-    with pytest.raises(ValueError, match="size >= 2"):
-        decompose_zero_sum_form(form)
+    assert naive_amplification(ident.coeffs, 0, [2.5]) == 0.0
+    d, T = energy._energy_split(ident)
+    assert d.shape == (0,) and T.shape == (0, 0)
+    with pytest.raises(ValueError, match="first-order"):
+        dissipation_and_boundary_form(ident)
 
 
 def test_decompose_two_by_two_closed_form():
+    # two coefficients, center on either side: S has a single
+    # off-diagonal entry s - s^2, so d = [s^2 - s] and T = [[+-s]]
     s = 0.37
-    form = SymmetricForm(np.array([[s, -s], [-s, s]]))
-    dec = decompose_zero_sum_form(form)
-    assert dec.d == pytest.approx([s])
-    assert dec.reduced == pytest.approx(np.array([[0.0]]))
-    assert dec.reconstruct() == pytest.approx(form.matrix)
-
-
-def test_decompose_rejects_nonzero_sum():
-    with pytest.raises(ValueError, match="zero-sum"):
-        decompose_zero_sum_form(SymmetricForm(np.eye(3)))
-
-
-def test_decompose_reconstructs_random_forms():
-    rng = np.random.default_rng(314159)
-    for _ in range(300):
-        m = int(rng.integers(2, 13))
-        A = rng.uniform(-1, 1, (m, m))
-        S = A + A.T
-        S = S - np.sum(S) / (m * m)
-        form = SymmetricForm(S)
-        dec = decompose_zero_sum_form(form)
-        assert dec.reconstruct() == pytest.approx(
-            S, abs=1e-13 * max(1.0, float(np.max(np.abs(S)))))
-        # the split is unique: re-decomposing the reconstruction returns it
-        again = decompose_zero_sum_form(SymmetricForm(dec.reconstruct()))
-        assert again.d == pytest.approx(dec.d, abs=1e-12)
-        assert again.reduced == pytest.approx(dec.reduced, abs=1e-12)
-
-
-def test_reconstruct_shape_convention():
-    dec = QuadDecomposition(reduced=np.array([[2.0]]), d=np.array([3.0]))
-    S = dec.reconstruct()
-    # embed_last - embed_first + d corners, spelled out for m = 2
-    assert S == pytest.approx(np.array([[3.0 - 2.0, -3.0], [-3.0, 2.0 + 3.0]]))
+    d, T = energy._energy_split(
+        SchemeStencil(r=1, p=0, coeffs=(s, 1.0 - s), velocity_a=1.0,
+                      lam=s))
+    assert d == pytest.approx([s * s - s], abs=1e-15)
+    assert T == pytest.approx(np.array([[-s]]), abs=1e-15)
+    d, T = energy._energy_split(
+        SchemeStencil(r=0, p=1, coeffs=(1.0 - s, s), velocity_a=1.0,
+                      lam=s))
+    assert d == pytest.approx([s * s - s], abs=1e-15)
+    assert T == pytest.approx(np.array([[s]]), abs=1e-15)
 
 
 def test_dissipation_closed_forms():
@@ -178,12 +120,12 @@ def test_boundary_form_represents_reduced_form():
     rng = np.random.default_rng(99)
     for name in BUILTINS:
         st = make_builtin(name, 1.0, 0.7)
-        dec = decompose_zero_sum_form(build_amplification_form(st))
+        _, T = energy._energy_split(st)
         _, Q = dissipation_and_boundary_form(st)
         for _ in range(40):
             w = rng.uniform(-2, 2, st.r + st.p)
             z = _difference_coords(w, st.r)
-            assert Q(z) == pytest.approx(float(w @ dec.reduced @ w),
+            assert Q(z) == pytest.approx(float(w @ T @ w),
                                          rel=1e-12, abs=1e-12)
 
 
@@ -198,7 +140,7 @@ def test_single_cell_energy_identity():
             m = st.r + st.p + 1
             for _ in range(60):
                 v = rng.uniform(-2, 2, m)
-                lhs = amplification_expression(st, v)
+                lhs = naive_amplification(st.coeffs, st.r, v)
                 rhs = sum(dk * (v[k] - v[0]) ** 2
                           for k, dk in enumerate(d, start=1))
                 rhs += Q(_difference_coords(v[1:], st.r))
@@ -299,16 +241,66 @@ def test_boundary_form_is_callable_dataclass():
     assert Q.center_value() == pytest.approx(2.0)
 
 
-def _lagrange_stencil(width, rng):
-    """Consistent stencil of ``width`` coefficients: the Lagrange weights of
-    the characteristic foot ``-lam a`` on the nodes ``-r..p``."""
-    r = int(rng.integers(1, width))
-    p = width - 1 - r
-    la = float(rng.uniform(0.05, 0.95))
+def _lagrange(r, p, la):
+    """The Lagrange weights of the characteristic foot ``-lam a`` on the
+    nodes ``-r..p``, as a consistent stencil with ``a = 1``."""
     nodes = range(-r, p + 1)
     w = [float(np.prod([(-la - k) / (j - k) for k in nodes if k != j]))
          for j in nodes]
     return SchemeStencil(r=r, p=p, coeffs=tuple(w), velocity_a=1.0, lam=la)
+
+
+def _lagrange_stencil(width, rng):
+    """Lagrange stencil of ``width`` coefficients, random ``r`` and
+    ``lam``."""
+    r = int(rng.integers(1, width))
+    return _lagrange(r, width - 1 - r, float(rng.uniform(0.05, 0.95)))
+
+
+def _split_stencils():
+    for name in BUILTINS:
+        for lam in np.geomspace(1e-6, 1.0, 40):
+            yield make_builtin(name, 1.0, float(lam))
+    for r in range(5):
+        for p in range(4):
+            if r + p:
+                for la in (0.05, 0.3, 0.5, 0.7, 0.95):
+                    yield _lagrange(r, p, la)
+    rng = np.random.default_rng(8080)
+    for _ in range(600):
+        yield _consistent_stencil(int(rng.integers(2, 13)), rng,
+                                  lam=float(rng.uniform(0.05, 1.0)))
+
+
+def test_energy_split_is_bit_exact_against_reference_peel():
+    # d and T have the bits, signed zeros included, of the peel in
+    # _reference; verify prints d with repr, so any other summation order
+    # (np.correlate's, say) would change printed digits
+    count = 0
+    for st in _split_stencils():
+        d, T = energy._energy_split(st)
+        want_d, want_T = naive_energy_split(st.coeffs, st.r)
+        want_d = np.array(want_d)
+        want_T = np.array(want_T).reshape(T.shape)
+        for got, want in ((d, want_d), (T, want_T)):
+            assert got.shape == want.shape, format_stencil(st)
+            assert np.array_equal(got, want), format_stencil(st)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), \
+                format_stencil(st)
+        count += 1
+    assert count >= 3 * 40 + 19 * 5 + 600
+
+
+def test_builtins_split_at_small_lambda():
+    # max|S| shrinks with lambda a while the rounding in the form's sum
+    # does not, so down to lambda = 1e-6 every builtin (and a Lagrange
+    # stencil) must split and pass the center check
+    for lam in np.geomspace(1e-6, 1.0, 2000):
+        lam = float(lam)
+        for st in [make_builtin(name, 1.0, lam) for name in BUILTINS] + \
+                [_lagrange(2, 1, lam)]:
+            _, Q = dissipation_and_boundary_form(st)
+            assert Q.center_value() == pytest.approx(-lam, abs=1e-12)
 
 
 def _plain_balance(st, v, dx):
