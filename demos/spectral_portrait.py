@@ -17,10 +17,13 @@ The last block is the point of the portrait: sigma_min stays tiny well
 outside the eigenvalue cloud, so the resolvent is huge there and the
 operator behaves, over finite horizons, as if its spectrum filled the
 larger pseudospectral region.  This is why the eigenvalue radius alone
-says little at moderate J, and why a dense float64 eigensolver returns
-large-J radii near 1 instead of the true values near sqrt(0.51); the
-package avoids that by solving a well-conditioned similar matrix, while
-norms and envelopes are robust either way.
+says little at moderate J, and why a float64 eigensolver applied to the
+matrix as it stands returns large-J radii near 1 instead of the true
+values near sqrt(0.51).  The package avoids that for every stencil and
+closure order by solving one balanced similar matrix, D^-1 A D with
+D = diag(rho^j), whose largest eigenvalue is well conditioned
+(``radius_condition`` measures it); norms and envelopes are robust either
+way.
 """
 
 import numpy as np

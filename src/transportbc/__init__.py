@@ -22,11 +22,10 @@ from .solver import (CallableDatum, ConvergenceRow, ErrorReport,
                      run_halfline_outflow, run_interval,
                      stability_functional_ratio, step)
 from .state import FieldState
-from .spectral import (ConvergenceError, PseudospectrumGrid, SpectralReport,
-                       TransitionMatrix, assemble_transition_matrix,
-                       build_report, eigenvalue_path, eigenvalues,
-                       operator_norm_l2,
-                       power_norm_envelope, pseudospectrum_grid,
+from .spectral import (ConvergenceError, PseudospectrumGrid, TransitionMatrix,
+                       assemble_transition_matrix, eigenvalues,
+                       operator_norm_l2, power_norm_envelope,
+                       pseudospectrum_grid, radius_condition,
                        smallest_singular_value, spectral_radius)
 
 __version__ = "0.1.0"
@@ -48,19 +47,16 @@ __all__ = [
     "PseudospectrumGrid",
     "RunResult",
     "SchemeStencil",
-    "SpectralReport",
     "StabilityResult",
     "TransitionMatrix",
     "Xoshiro256StarStar",
     "assemble_transition_matrix",
     "backward_difference",
-    "build_report",
     "check_l2_stability",
     "consistency_error_field",
     "consistency_order",
     "convergence_study",
     "dissipation_and_boundary_form",
-    "eigenvalue_path",
     "eigenvalues",
     "error_metrics",
     "exact_solution",
@@ -74,6 +70,7 @@ __all__ = [
     "parse_stencil",
     "power_norm_envelope",
     "pseudospectrum_grid",
+    "radius_condition",
     "reference_values",
     "run_halfline_outflow",
     "run_interval",

@@ -24,8 +24,8 @@ from .scheme import (BUILTIN_SCHEMES, SchemeStencil, check_l2_stability,
 from .solver import (GridSpec, PowerPlusDatum, _row_dots, convergence_study,
                      n_steps, reference_values, run_interval)
 from .spectral import (ConvergenceError, assemble_transition_matrix,
-                       eigenvalue_path, operator_norm_l2, pseudospectrum_grid,
-                       spectral_radius)
+                       operator_norm_l2, pseudospectrum_grid,
+                       radius_condition, spectral_radius)
 
 NAMED_DATA = {
     "u01": (0.5, 3.0),
@@ -226,20 +226,18 @@ def cmd_spectral(args) -> int:
         _emit(args, _csv_lines(header, ["re", "im", "sigma_min"], rows))
         return 0
     rows = []
-    dense = []
+    conditions = []
     for kb in kbs:
         for J in J_values:
             matrix = assemble_transition_matrix(J, stencil, kb)
-            if eigenvalue_path(matrix) == "dense":
-                dense.append(f"{J}:{kb}")
             rows.append((J, kb, spectral_radius(matrix),
                          operator_norm_l2(matrix)))
-    # rows whose rho is a dense float64 value, which need not be well
-    # conditioned (see the spectral module); the others are exact or come
-    # from a well-conditioned similar matrix
+            conditions.append(f"{J}:{kb}:{radius_condition(matrix):.1e}")
+    # condition number of each row's rho (see the spectral module): near 1
+    # it is accurate to rounding, far above 1 it has stopped converging
     header = _config_header(
         args, stencil, J_list=",".join(map(str, J_values)),
-        kb=",".join(map(str, kbs)), rho_dense_J_kb=",".join(dense) or "none",
+        kb=",".join(map(str, kbs)), rho_condition_J_kb=",".join(conditions),
     )
     _emit(args, _csv_lines(header, ["J", "kb", "rho", "norm"], rows))
     return 0

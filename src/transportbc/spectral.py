@@ -12,20 +12,21 @@ pseudospectra.  The dense kernels are numpy's LAPACK; a LAPACK
 failure is raised as ConvergenceError.
 
 Norms and smallest singular values are well conditioned and come straight
-from the SVD.  Eigenvalues are not, for these strongly non-normal matrices,
-so they take one of three paths (``eigenvalue_path`` names it).  Triangular
-matrices (one-sided stencils) return their diagonal.  Real tridiagonal
-matrices (three-point stencils with ``kb <= 2``) are first mapped by a
-diagonal similarity to a matrix whose off-diagonal pairs have equal moduli;
-its eigenvalues are well conditioned.  Everything else is solved densely as
-it stands, and there the extreme eigenvalue moduli at large ``J``
-(``kb >= 3`` or wider stencils) are not well conditioned: float64 rounding
-moves them by far more than machine precision, so they are points of the
-machine-eps pseudospectrum rather than eigenvalues (Reichel & Trefethen,
-LAA 162, 1992).
+from the SVD.  Eigenvalues are not, for these strongly non-normal matrices:
+solved as they stand in float64, the extreme moduli at large ``J`` are
+points of the machine-eps pseudospectrum rather than eigenvalues (Reichel &
+Trefethen, LAA 162, 1992).  So every matrix with nonzeros on both sides of
+its diagonal is solved through one diagonally similar copy ``D^-1 A D``,
+``D = diag(rho^j)``, with ``rho`` minimizing its Frobenius norm (Schmidt &
+Spitzer, Math. Scand. 8, 1960); this scales each band ``a_l`` by
+``rho^l`` and leaves the eigenvalues unchanged.  A triangular matrix
+(one-sided stencils) returns its diagonal.  ``radius_condition`` gives the
+condition number of the largest eigenvalue of the matrix actually solved,
+so a radius that has stopped converging is labelled rather than hidden.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,21 +68,6 @@ class PseudospectrumGrid:
     sigma: np.ndarray
 
 
-@dataclass
-class SpectralReport:
-    spectral_radius: float
-    l2_norm: float
-    power_norms: np.ndarray | None = None
-    pseudospectrum: PseudospectrumGrid | None = None
-
-    def __post_init__(self) -> None:
-        if self.spectral_radius > self.l2_norm + 1e-10:
-            raise ValueError(
-                f"spectral radius {self.spectral_radius} exceeds the "
-                f"l2 norm {self.l2_norm}; one of the two is wrong"
-            )
-
-
 def assemble_transition_matrix(J: int, stencil: SchemeStencil,
                                kb: int) -> TransitionMatrix:
     """The one-step map of the march, one column per interior cell.
@@ -118,80 +104,124 @@ def _entries(matrix) -> np.ndarray:
     return A
 
 
-def _symmetrized_tridiagonal(A: np.ndarray) -> np.ndarray:
-    """Diagonally similar copy of a real tridiagonal matrix whose
-    off-diagonal pairs share one modulus.
+def _solve(solver, *args):
+    """``solver(*args)`` with a LAPACK failure raised as ConvergenceError."""
+    try:
+        return solver(*args)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"eigenvalue computation failed: {exc}"
+        ) from exc
 
-    With sub-diagonal ``b`` and super-diagonal ``c``, the pair at
-    ``(i+1, i), (i, i+1)`` becomes ``sign(b_i), sign(c_i)`` times
-    ``sqrt(|b_i c_i|)``.  The scaling vector itself is never formed: for
-    the transition matrices it grows geometrically in ``J`` and would
-    overflow.  A zero product yields a zero pair, which is exact because
-    the matrix is then block triangular with the same diagonal blocks.
+
+def _log_rho(lags: np.ndarray, q: np.ndarray, lo: float, hi: float) -> float:
+    """The minimizer ``t`` in ``[lo, hi]`` of ``sum_l exp(q_l + 2 l t)``.
+
+    The sum is convex in ``t``; its derivative (halved) is increasing and
+    changes sign in the bracket, so Newton steps that leave the shrinking
+    bracket are replaced by bisection.  A band has a handful of offsets, so
+    the sums run over Python floats.
     """
-    b = np.diag(A, -1)
-    c = np.diag(A, 1)
-    r = np.sqrt(np.abs(b * c))
-    return (np.diag(np.diag(A)) + np.diag(np.sign(b) * r, -1)
-            + np.diag(np.sign(c) * r, 1))
+    terms = list(zip(lags.tolist(), q.tolist()))
+    lo, hi, t = float(lo), float(hi), 0.0
+    for _ in range(200):
+        g = dg = 0.0
+        for lag, q_lag in terms:
+            w = lag * math.exp(q_lag + 2 * lag * t)
+            g += w
+            dg += 2 * lag * w
+        if g == 0.0:
+            return t
+        if g > 0.0:
+            hi = t
+        else:
+            lo = t
+        step = t - g / dg
+        t_next = step if lo < step < hi else 0.5 * (lo + hi)
+        if abs(t_next - t) <= 1e-15 * (1.0 + abs(t)):
+            return t_next
+        t = t_next
+    return t
 
 
-def eigenvalue_path(matrix) -> str:
-    """Which path ``eigenvalues`` takes: ``"triangular"``, ``"tridiagonal"``
-    or ``"dense"``.
+def _balanced(A: np.ndarray) -> np.ndarray | None:
+    """The diagonally similar copy ``D^-1 A D``, ``D = diag(rho^j)``, of
+    least Frobenius norm; None if ``A`` has no nonzero entry on one side of
+    its diagonal, where no minimizer exists.
 
-    Only the dense path can return extreme moduli that are not well
-    conditioned, so callers that print radii use this to label them.
+    Entry ``(i, k)`` is scaled by ``rho^l``, ``l = k - i``, so the squared
+    norm is ``sum_l s_l rho^(2 l)`` over the sums ``s_l`` of squared entries
+    on each offset: convex in ``log rho`` (Schmidt & Spitzer, Math. Scand. 8,
+    1960).  For a tridiagonal Toeplitz band it gives the off-diagonal pairs
+    one modulus.  Every term is at most ``||A||_F^2`` at the minimizer (the
+    value at ``rho = 1``), which brackets ``log rho`` and bounds every scaled
+    entry by ``||A||_F``; only the nonzero entries are scaled, and in logs,
+    so nothing overflows even where ``rho^J`` would.
     """
-    A = _entries(matrix)
-    if not np.any(np.triu(A, 1)) or not np.any(np.tril(A, -1)):
-        return "triangular"
-    if not np.any(np.triu(A, 2)) and not np.any(np.tril(A, -2)):
-        return "tridiagonal"
-    return "dense"
+    i, k = np.nonzero(A)
+    lag = k - i
+    if not (np.any(lag < 0) and np.any(lag > 0)):
+        return None
+    a = A[i, k]
+    log_a = np.log(np.abs(a))
+    order = np.argsort(lag, kind="stable")
+    lags, first = np.unique(lag[order], return_index=True)
+    # log of each offset's share in ||A||_F^2, summed without overflow
+    log_s = np.logaddexp.reduceat(2 * log_a[order], first)
+    q = log_s - np.logaddexp.reduce(log_s)
+    below, above = lags < 0, lags > 0
+    t = _log_rho(lags, q, np.max(-q[below] / (2 * lags[below])),
+                 np.min(-q[above] / (2 * lags[above])))
+    B = np.zeros_like(A)
+    B[i, k] = np.copysign(np.exp(log_a + lag * t), a)
+    return B
 
 
 def eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues, by a path chosen from the input's structure
-    (``eigenvalue_path``).
+    """All eigenvalues: the diagonal of a triangular input, exactly, and
+    LAPACK's eigenvalues of the balanced similar copy of any other.
 
-    - Triangular input returns its diagonal, exactly.
-    - Tridiagonal input (Lax-Wendroff and other three-point stencils with
-      ``kb <= 2``) is replaced by its symmetrized similar copy, whose
-      eigenvalues are well conditioned, and solved by LAPACK.  Large-``J``
-      transition matrices are so non-normal that solving them directly in
-      float64 returns pseudo-eigenvalues, with moduli drifting toward 1.
-    - Anything else is solved by LAPACK as it stands.  For strongly
-      non-normal input (``kb >= 3`` or wider stencils) the extreme moduli
-      from this dense path are not well conditioned at large ``J``.
-
+    The transition matrices are so non-normal that solving them as they
+    stand in float64 returns pseudo-eigenvalues, whose moduli drift toward 1
+    at large ``J``; the balanced copy is far closer to normal, and
+    ``radius_condition`` measures how close for the largest eigenvalue.
     A LAPACK failure is raised as ConvergenceError.
     """
     A = _entries(matrix)
-    path = eigenvalue_path(A)
-    if path == "triangular":
+    B = _balanced(A)
+    if B is None:
         # one-sided stencils: the spectrum is the diagonal, exactly; a
         # solver would trade that for Jordan-block sensitivity
         return np.diag(A).astype(complex)
-    if path == "tridiagonal":
-        A = _symmetrized_tridiagonal(A)
-    try:
-        eigs = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"{path} eigenvalue solve did not converge: {exc}"
-        ) from exc
-    return eigs.astype(complex)
+    return _solve(np.linalg.eigvals, B).astype(complex)
+
+
+def radius_condition(matrix) -> float:
+    """Condition number ``1 / |y^H x|`` (unit right and left eigenvectors
+    ``x``, ``y``) of the largest-modulus eigenvalue of the matrix that
+    ``eigenvalues`` solves; 1.0 for triangular input, whose diagonal is
+    exact.
+
+    A perturbation of relative size ``eps`` moves that eigenvalue by about
+    ``condition * eps`` times the solved matrix's norm, so a large value
+    marks a radius that has stopped converging.  A LAPACK failure is raised
+    as ConvergenceError.
+    """
+    B = _balanced(_entries(matrix))
+    if B is None:
+        return 1.0
+    vals, right = _solve(np.linalg.eig, B)
+    j = int(np.argmax(np.abs(vals)))
+    # row j of right^-1 is the left eigenvector scaled to y^H x = 1; with a
+    # unit x, its length is 1 / |y^H x| for the unit y
+    left = _solve(np.linalg.solve, right.T, np.eye(len(vals))[j])
+    return float(np.linalg.norm(left))
 
 
 def spectral_radius(matrix) -> float:
-    """Largest eigenvalue modulus (all eigenvalues are computed).
-
-    Follows the path of ``eigenvalues``: exact for triangular input and
-    well conditioned for tridiagonal input, such as every Lax-Wendroff
-    transition matrix with ``kb <= 2``.  For other strongly non-normal
-    input the dense value is a float64 pseudo-eigenvalue modulus at large
-    ``J``, not a conditioned radius.
+    """Largest eigenvalue modulus (all eigenvalues are computed), by the
+    path of ``eigenvalues``; ``radius_condition`` gives its condition
+    number.
     """
     eigs = eigenvalues(matrix)
     if len(eigs) == 0:
@@ -281,14 +311,3 @@ def pseudospectrum_grid(matrix, re_range: tuple[float, float] = (-1.5, 1.5),
             sigma[i, k:k + step] = _singular_values(shifts)[:, -1]
     return PseudospectrumGrid(re=re, im=im, sigma=sigma)
 
-
-def build_report(matrix, n_powers: int | None = None,
-                 pseudo: PseudospectrumGrid | None = None) -> SpectralReport:
-    """Bundle radius and norm (and optional extras) for one matrix."""
-    power_norms = None
-    if n_powers is not None:
-        power_norms = power_norm_envelope(matrix, n_powers)
-    return SpectralReport(spectral_radius=spectral_radius(matrix),
-                          l2_norm=operator_norm_l2(matrix),
-                          power_norms=power_norms,
-                          pseudospectrum=pseudo)

@@ -49,12 +49,13 @@ REFERENCE_SUP_ERRORS = {
 # tabulated.  Radius provenance, on the exact float64 matrix entries:
 # - J=20 and J=80: mpmath eigenvalues at 60 digits.  kb=1: 0.710055 and
 #   0.713876; kb=2: 0.709864 and 0.713873.
-# - J=320 and J=1280: eigenvalues of the diagonally similar tridiagonal copy
-#   (off-diagonal pairs of equal modulus, eigenvalue condition numbers at
-#   most 1.63), 0.714126 and 0.714142 for both kb, next to the Toeplitz
-#   limit sqrt(0.51) = 0.714143.  The similarity spans a factor 2.38^J
-#   (1e120 at J=320), so a direct high-precision solve would need well
-#   over 120 digits there.
+# - J=320 and J=1280: eigenvalues of a diagonally similar copy whose
+#   interior off-diagonal pairs share one modulus (eigenvalue condition
+#   numbers at most 1.63), 0.714126 and 0.714142 for both kb, next to the
+#   Toeplitz limit sqrt(0.51) = 0.714143; the balanced copy that
+#   ``eigenvalues`` solves reproduces them to 1e-14.  The similarity spans
+#   a factor 2.38^J (1e120 at J=320), so a direct high-precision solve
+#   would need well over 120 digits there.
 # The J >= 80 radii were first tabulated, without a stated source, as
 # 0.7430, 0.9208, 0.9817 (kb=1) and 0.7513, 0.9212, 0.9805 (kb=2): float64
 # pseudo-eigenvalue moduli, not eigenvalue moduli.
@@ -64,6 +65,15 @@ REFERENCE_SPECTRA = {
     2: {20: (0.7098, 1.0035), 80: (0.7139, 1.0035),
         320: (0.7141, 1.0035), 1280: (0.7141, 1.0035)},
 }
+
+
+def lagrange_weights(r, p, lam):
+    """Weights of the Lagrange interpolant on the nodes ``-r..p`` at the
+    characteristic foot ``-lam`` (``a = 1``): the consistent explicit
+    stencil of that width and order ``r + p``."""
+    nodes = range(-r, p + 1)
+    return tuple(math.prod((-lam - k) / (j - k) for k in nodes if k != j)
+                 for j in nodes)
 
 
 def naive_run(u0, coeffs, r, p, kb, steps, sources=None):

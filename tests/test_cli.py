@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 import transportbc
-from transportbc import GridSpec, PowerPlusDatum, format_stencil, make_builtin
+from transportbc import (GridSpec, PowerPlusDatum, SchemeStencil,
+                         format_stencil, make_builtin)
 from transportbc import cli
 from transportbc.cli import main
 
-from _reference import REFERENCE_SUP_ERRORS
+from _reference import REFERENCE_SUP_ERRORS, lagrange_weights
 
 
 def _lines(capsys):
@@ -139,18 +140,36 @@ def test_spectral_table_rows(capsys):
         assert 0.0 < rho <= norm + 1e-10
 
 
-def test_spectral_labels_dense_radii(capsys):
-    # kb=3 folds a three-cell closure into the last row: not tridiagonal,
-    # so its radius comes from the dense path and is named in the header
-    assert main(["spectral", "--J-list", "8,12", "--kb", "1,3"]) == 0
+def _radius_conditions(out):
+    """``{(J, kb): condition}`` from the ``rho_condition_J_kb`` header."""
+    key = "# rho_condition_J_kb="
+    line = next(ln for ln in out if ln.startswith(key))
+    fields = [item.split(":") for item in line[len(key):].split(",")]
+    return {(int(J), int(kb)): float(c) for J, kb, c in fields}
+
+
+def test_spectral_labels_radius_condition(capsys):
+    # one condition number per row, in row order, formatted %.1e; the CSV
+    # columns stay J,kb,rho,norm
+    assert main(["spectral", "--J-list", "8,12,80", "--kb", "1,3"]) == 0
     out = _lines(capsys)
-    assert "# rho_dense_J_kb=8:3,12:3" in out
     assert next(ln for ln in out if not ln.startswith("#")) == "J,kb,rho,norm"
     data = [ln.split(",") for ln in out if not ln.startswith("#")][1:]
-    assert [(int(r[0]), int(r[1])) for r in data] == [
-        (8, 1), (12, 1), (8, 3), (12, 3)]
-    assert main(["spectral", "--J", "8", "--kb", "1,2"]) == 0
-    assert "# rho_dense_J_kb=none" in _lines(capsys)
+    keys = [(int(r[0]), int(r[1])) for r in data]
+    assert keys == [(8, 1), (12, 1), (80, 1), (8, 3), (12, 3), (80, 3)]
+    conditions = _radius_conditions(out)
+    assert list(conditions) == keys
+    assert all(1.0 <= c < 10.0 for c in conditions.values())
+    assert any(ln.startswith("# rho_condition_J_kb=8:1:1.0e+00,")
+               for ln in out)
+    # the r=3, p=2 Lagrange stencil: a radius that has stopped converging
+    # at J=160 is flagged by a condition number above 1e3
+    wide = format_stencil(SchemeStencil(
+        r=3, p=2, coeffs=lagrange_weights(3, 2, 0.7), velocity_a=1.0,
+        lam=0.7))
+    assert main(["spectral", "--scheme", wide, "--J", "160", "--kb",
+                 "2"]) == 0
+    assert _radius_conditions(_lines(capsys))[160, 2] > 1e3
 
 
 def test_spectral_needs_grid(capsys):

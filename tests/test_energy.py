@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from _reference import naive_amplification, naive_energy_split
+from _reference import (lagrange_weights, naive_amplification,
+                        naive_energy_split)
 from transportbc import energy
 from transportbc import (BoundaryForm, SchemeStencil,
                          dissipation_and_boundary_form, format_stencil,
@@ -242,12 +243,8 @@ def test_boundary_form_is_callable_dataclass():
 
 
 def _lagrange(r, p, la):
-    """The Lagrange weights of the characteristic foot ``-lam a`` on the
-    nodes ``-r..p``, as a consistent stencil with ``a = 1``."""
-    nodes = range(-r, p + 1)
-    w = [float(np.prod([(-la - k) / (j - k) for k in nodes if k != j]))
-         for j in nodes]
-    return SchemeStencil(r=r, p=p, coeffs=tuple(w), velocity_a=1.0, lam=la)
+    return SchemeStencil(r=r, p=p, coeffs=lagrange_weights(r, p, la),
+                         velocity_a=1.0, lam=la)
 
 
 def _lagrange_stencil(width, rng):

@@ -1,3 +1,5 @@
+import pytest
+
 import transportbc
 
 
@@ -10,10 +12,14 @@ def test_every_export_resolves():
     assert set(transportbc.__all__) <= set(namespace)
 
 
-def test_removed_energy_split_names_are_gone():
-    for name in ("SymmetricForm", "QuadDecomposition",
-                 "amplification_expression", "build_amplification_form",
-                 "decompose_zero_sum_form"):
+@pytest.mark.parametrize("module, names", [
+    ("energy", ("SymmetricForm", "QuadDecomposition",
+                "amplification_expression", "build_amplification_form",
+                "decompose_zero_sum_form")),
+    ("spectral", ("eigenvalue_path", "build_report", "SpectralReport")),
+], ids=["energy_split", "spectral_paths"])
+def test_removed_names_are_gone(module, names):
+    for name in names:
         assert name not in transportbc.__all__
         assert not hasattr(transportbc, name)
-        assert not hasattr(transportbc.energy, name)
+        assert not hasattr(getattr(transportbc, module), name)

@@ -6,17 +6,20 @@ import numpy as np
 import pytest
 
 from transportbc import spectral
-from transportbc import (ConvergenceError, PseudospectrumGrid, SchemeStencil,
-                         SpectralReport, TransitionMatrix,
-                         assemble_transition_matrix, build_report,
-                         eigenvalue_path, eigenvalues, make_builtin,
-                         operator_norm_l2,
-                         power_norm_envelope, pseudospectrum_grid,
+from transportbc import (ConvergenceError, SchemeStencil, TransitionMatrix,
+                         assemble_transition_matrix, eigenvalues,
+                         make_builtin, operator_norm_l2, power_norm_envelope,
+                         pseudospectrum_grid, radius_condition,
                          smallest_singular_value, spectral_radius)
 
-from _reference import REFERENCE_SPECTRA, naive_run
+from _reference import REFERENCE_SPECTRA, lagrange_weights, naive_run
 
 LW = make_builtin("lax_wendroff", 1.0, 0.7)
+
+
+def _lagrange(r, p, la):
+    return SchemeStencil(r=r, p=p, coeffs=lagrange_weights(r, p, la),
+                         velocity_a=1.0, lam=la)
 
 
 def _assert_spectra_match(got, ref, tol):
@@ -126,6 +129,14 @@ def test_eigenvalues_known_spectra():
     ref = a + 2 * b * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
     _assert_spectra_match(eigenvalues(T), ref, 1e-10)
 
+    # the nonsymmetric Lax-Wendroff band (b, a, c): the pairs balance to
+    # one modulus, and the spectrum is a + 2 sqrt(bc) cos(k pi / (n+1))
+    n, a, b, c = 60, 0.51, 0.595, -0.105
+    T = a * np.eye(n) + b * np.eye(n, k=-1) + c * np.eye(n, k=1)
+    k = np.arange(1, n + 1)
+    ref = a + 2 * np.sqrt(complex(b * c)) * np.cos(k * np.pi / (n + 1))
+    _assert_spectra_match(eigenvalues(T), ref, 1e-12)
+
     # tridiagonal with a zero off-diagonal product: block triangular, so
     # the spectrum is that of the diagonal blocks
     B = np.array([[1.0, 2.0, 0.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0]])
@@ -136,6 +147,22 @@ def test_eigenvalues_known_spectra():
     C = np.roll(np.eye(5), 1, axis=0)
     ref = np.exp(2j * np.pi * np.arange(5) / 5)
     _assert_spectra_match(eigenvalues(C), ref, 1e-10)
+
+
+def test_radius_condition_known_values():
+    # the Lax-Wendroff band (b, a, c) = (0.595, 0.51, -0.105) balances to
+    # a normal matrix, whose eigenvalues all have condition number 1
+    n, a, b, c = 60, 0.51, 0.595, -0.105
+    T = a * np.eye(n) + b * np.eye(n, k=-1) + c * np.eye(n, k=1)
+    assert radius_condition(T) == pytest.approx(1.0, abs=1e-12)
+    # |b| = |c|: its own balanced copy, top eigenvalue (3 + sqrt 5) / 2 with
+    # unit eigenvectors x ~ (1, -u), y ~ (1, u), u = (3 - sqrt 5) / 2, so
+    # 1 / |y^T x| = 3 / sqrt 5
+    M = np.array([[3.0, 1.0], [-1.0, 0.0]])
+    assert spectral_radius(M) == pytest.approx((3 + math.sqrt(5)) / 2,
+                                               rel=1e-14)
+    assert radius_condition(M) == pytest.approx(3 / math.sqrt(5), rel=1e-12)
+    assert radius_condition(np.zeros((0, 0))) == 1.0
 
 
 def test_eigenvalues_match_library_on_random_matrices():
@@ -149,24 +176,25 @@ def test_eigenvalues_match_library_on_random_matrices():
 
 
 def test_transition_eigenvalues_match_high_precision():
-    # The transition matrices are strongly non-normal: at J=40 a dense
-    # float64 solve is already off by 1e-5 on the radius and up to 1e-3 on
-    # single eigenvalues.  mpmath at 50 digits on the exact float64
-    # entries is the independent oracle.  kb >= 3 takes the dense path,
-    # whose single eigenvalues carry condition number times eps (1.6e-10
-    # at kb=4); at J=20 its radius still agrees to 1e-11.
+    # The transition matrices are strongly non-normal: at J=40 solving them
+    # as they stand in float64 is off by 2.6e-5 to 3.6e-5 on the radius for
+    # kb = 3, 4 and by 5.6e-3 to 5.5e-2 for the wider Lagrange stencils.
+    # mpmath at 50 digits on the exact float64 entries is the independent
+    # oracle: a balancing that scaled by 1/rho instead of rho would pass
+    # every self-consistency check and fail here.
     mpmath = pytest.importorskip("mpmath")
-    for J, kb, tol in ((40, 1, 1e-10), (40, 2, 1e-10), (20, 3, 1e-9),
-                       (20, 4, 1e-9)):
-        A = assemble_transition_matrix(J, LW, kb).entries
+    for J, stencil, kb in ((20, LW, 1), (20, LW, 2), (40, LW, 3),
+                           (40, LW, 4), (40, _lagrange(2, 1, 0.7), 2),
+                           (40, _lagrange(3, 2, 0.7), 2)):
+        A = assemble_transition_matrix(J, stencil, kb).entries
         with mpmath.workdps(50):
             ref = mpmath.eig(mpmath.matrix(A.tolist()), left=False,
                              right=False)
             ref = [complex(z) for z in ref]
         got = eigenvalues(A)
-        _assert_spectra_match(got, ref, tol)
-        assert np.max(np.abs(got)) == pytest.approx(
-            max(abs(z) for z in ref), abs=1e-11)
+        _assert_spectra_match(got, ref, 1e-12)
+        assert spectral_radius(A) == pytest.approx(
+            max(abs(z) for z in ref), abs=1e-12)
 
 
 def test_eigenvalue_input_validation():
@@ -176,32 +204,23 @@ def test_eigenvalue_input_validation():
         eigenvalues(np.array([[np.nan]]))
 
 
-def test_dense_solver_failures_raise_convergence_error(monkeypatch):
+def test_solver_failures_raise_convergence_error(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    C = np.roll(np.eye(3), 1, axis=0)  # cyclic shift: the dense path
-    assert eigenvalue_path(C) == "dense"
+    A = assemble_transition_matrix(10, LW, 3)
     monkeypatch.setattr(np.linalg, "eigvals", fail)
-    with pytest.raises(ConvergenceError, match="dense eigenvalue solve"):
-        eigenvalues(C)
+    with pytest.raises(ConvergenceError, match="eigenvalue computation"):
+        eigenvalues(A)
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(ConvergenceError, match="eigenvalue computation"):
+        radius_condition(A)
     monkeypatch.setattr(np.linalg, "svd", fail)
     for call in (operator_norm_l2, smallest_singular_value,
                  lambda M: power_norm_envelope(M, 2),
                  lambda M: pseudospectrum_grid(M, resolution=2)):
         with pytest.raises(ConvergenceError, match="singular value"):
-            call(C)
-
-
-def test_tridiagonal_solver_failure_raises_convergence_error(monkeypatch):
-    def fail(_):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    A = assemble_transition_matrix(10, LW, 1)
-    assert eigenvalue_path(A) == "tridiagonal"
-    monkeypatch.setattr(np.linalg, "eigvals", fail)
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        eigenvalues(A)
+            call(A.entries)
 
 
 def test_spectral_radius_of_triangular_transition():
@@ -209,9 +228,11 @@ def test_spectral_radius_of_triangular_transition():
     up = make_builtin("upwind", 1.0, 0.7)
     A = assemble_transition_matrix(12, up, 1)
     assert np.max(np.abs(np.triu(A.entries, k=1))) == 0.0
-    assert eigenvalue_path(A) == "triangular"
+    # its spectrum is the diagonal, returned exactly rather than solved
+    assert spectral_radius(A) == A.entries[0, 0]
     assert spectral_radius(A) == pytest.approx(0.3, abs=1e-12)
-    assert spectral_radius(np.eye(7)) == pytest.approx(1.0)
+    assert radius_condition(A) == 1.0
+    assert spectral_radius(np.eye(7)) == 1.0
 
 
 def test_operator_norm_matches_svd():
@@ -313,20 +334,6 @@ def test_pseudospectrum_orientation_and_normal_case(monkeypatch):
         pseudospectrum_grid(A, resolution=0)
     with pytest.raises(ValueError, match="resolution"):
         pseudospectrum_grid(A, resolution=513)
-
-
-def test_spectral_report_validation_and_build():
-    with pytest.raises(ValueError, match="exceeds"):
-        SpectralReport(spectral_radius=1.0, l2_norm=0.5)
-    rep = build_report(assemble_transition_matrix(15, LW, 2), n_powers=4)
-    assert rep.spectral_radius <= rep.l2_norm + 1e-10
-    assert rep.power_norms.shape == (5,)
-    assert rep.pseudospectrum is None
-    grid = PseudospectrumGrid(re=np.zeros(1), im=np.zeros(1),
-                              sigma=np.zeros((1, 1)))
-    rep2 = build_report(np.eye(3), pseudo=grid)
-    assert rep2.pseudospectrum is grid
-    assert rep2.spectral_radius == pytest.approx(1.0)
 
 
 def test_operator_norm_of_matrices_with_kernels():
