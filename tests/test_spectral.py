@@ -204,23 +204,37 @@ def test_eigenvalue_input_validation():
         eigenvalues(np.array([[np.nan]]))
 
 
-def test_solver_failures_raise_convergence_error(monkeypatch):
+def test_dense_solver_failures_raise_convergence_error(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    A = assemble_transition_matrix(10, LW, 3)
+    C = np.roll(np.eye(3), 1, axis=0)  # cyclic shift: not triangular
     monkeypatch.setattr(np.linalg, "eigvals", fail)
     with pytest.raises(ConvergenceError, match="eigenvalue computation"):
-        eigenvalues(A)
+        eigenvalues(C)
     monkeypatch.setattr(np.linalg, "eig", fail)
     with pytest.raises(ConvergenceError, match="eigenvalue computation"):
-        radius_condition(A)
+        radius_condition(C)
     monkeypatch.setattr(np.linalg, "svd", fail)
     for call in (operator_norm_l2, smallest_singular_value,
                  lambda M: power_norm_envelope(M, 2),
                  lambda M: pseudospectrum_grid(M, resolution=2)):
         with pytest.raises(ConvergenceError, match="singular value"):
-            call(A.entries)
+            call(C)
+
+
+def test_tridiagonal_solver_failure_raises_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    A = assemble_transition_matrix(10, LW, 1)
+    assert np.max(np.abs(np.triu(A.entries, k=2))) == 0.0
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        eigenvalues(A)
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        radius_condition(A)
 
 
 def test_spectral_radius_of_triangular_transition():
