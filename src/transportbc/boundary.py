@@ -20,6 +20,7 @@ all unit levels at once, one per column) all run that one recursion.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,8 +36,14 @@ class BoundarySpec:
     outflow_order_kb: int
 
     def __post_init__(self) -> None:
-        if self.outflow_order_kb < 0:
+        try:
+            kb = operator.index(self.outflow_order_kb)
+        except TypeError:
+            raise ValueError("extrapolation order k_b must be an integer, "
+                             f"got {self.outflow_order_kb!r}") from None
+        if kb < 0:
             raise ValueError("extrapolation order k_b must be nonnegative")
+        object.__setattr__(self, "outflow_order_kb", kb)
 
 
 def extrapolation_weights(kb: int) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ batch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -125,11 +126,6 @@ def dissipation_and_boundary_form(
 
 
 @lru_cache(maxsize=128)
-def _cached_stability(stencil: SchemeStencil):
-    return check_l2_stability(stencil)
-
-
-@lru_cache(maxsize=128)
 def _cached_dissipation(stencil: SchemeStencil) -> np.ndarray:
     """Read-only ``d`` of ``dissipation_and_boundary_form``; a stencil it
     rejects raises on every call, since exceptions are not cached."""
@@ -189,16 +185,20 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     reused by later calls.  With ``strict`` (default), an l2-stable
     stencil must show a nonpositive ``rhs`` (up to 1e-12 of the sequence
     energy); a violation raises, since it would mean the split itself is
-    wrong.
+    wrong.  The sequence must be finite and ``dx`` positive and finite.
     """
     v = np.asarray(test_sequence, dtype=float)
     if v.ndim != 1:
         raise ValueError("test sequence must be one-dimensional")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("test sequence must be finite")
+    if not (dx > 0 and math.isfinite(dx)):
+        raise ValueError("dx must be positive and finite")
     lhs, rhs, residual = (float(x[0]) for x in
                           _balance_rows(stencil, v[None, :], dx))
     if strict:
         scale = max(1.0, dx * float(np.dot(v, v)))
-        if _cached_stability(stencil).is_stable and rhs > 1e-12 * scale:
+        if check_l2_stability(stencil).is_stable and rhs > 1e-12 * scale:
             raise AssertionError(
                 f"dissipation sum {rhs:.3e} is positive for an l2-stable "
                 "stencil; the energy split is inconsistent"

@@ -6,10 +6,15 @@ platform default generator, so the generator is pinned here: xoshiro256**
 with its four 64-bit words seeded by successive outputs of splitmix64 run on
 the user seed.  Both algorithms are public domain and fit in a page.
 
-Every output is made by one loop, ``Xoshiro256StarStar._outputs``, which
-keeps the four state words in local variables for a whole batch of draws
-and stores them back once; ``next_u64`` is a batch of one, and
-``uniforms`` and ``symmetric`` take their batch in a single call.
+Outputs are made a block at a time, by ``Xoshiro256StarStar._refill``.  Its
+one Python loop only steps the four state words, keeping each ``s1``; the
+``**`` scrambler ``rotl(s1 * 5, 7) * 9`` reads nothing but that word, so it
+runs once per block on the kept words in numpy ``uint64``, whose products
+wrap modulo 2**64 exactly as masking does.  The block's ``[0, 1)`` doubles
+are converted at the same time.  Every draw (``next_u64``, ``integer``,
+``uniforms``, ``symmetric``) reads the next unread outputs of the block, so
+the stream is the one a scalar generator makes, output for output; the
+state words run ahead of the draws by the unread part of the block.
 """
 from __future__ import annotations
 
@@ -18,6 +23,10 @@ import operator
 import numpy as np
 
 _MASK = (1 << 64) - 1
+
+# outputs made per refill; a request for more than is left gets one block
+# sized to it
+_BLOCK = 256
 
 
 def _splitmix64(state: int):
@@ -45,21 +54,20 @@ class Xoshiro256StarStar:
         self._s = [next(feed) for _ in range(4)]
         if not any(self._s):
             self._s[0] = 1  # unreachable from splitmix64, guarded anyway
+        # the current block: its 64-bit outputs, their [0, 1) doubles, and
+        # the index of the first unread one
+        self._words: list[int] = []
+        self._doubles = np.empty(0)
+        self._pos = 0
 
-    def _outputs(self, n: int) -> list[int]:
-        """The next ``n`` 64-bit outputs.
-
-        The rotations are written out.  The rotated word is reduced only
-        after its product by 9: the bits it keeps above bit 63 do not reach
-        the low 64 bits of that product.
-        """
+    def _refill(self, n: int) -> None:
+        """Append ``n`` new outputs to the unread rest of the block."""
         mask = _MASK
         s0, s1, s2, s3 = self._s
-        out = []
-        append = out.append
+        kept = []
+        keep = kept.append
         for _ in range(n):
-            x = s1 * 5 & mask
-            append((x << 7 | x >> 57) * 9 & mask)
+            keep(s1)
             t = s1 << 17 & mask
             s2 ^= s0
             s3 ^= s1
@@ -68,10 +76,34 @@ class Xoshiro256StarStar:
             s2 ^= t
             s3 = (s3 << 45 | s3 >> 19) & mask
         self._s = [s0, s1, s2, s3]
-        return out
+        x = np.array(kept, dtype=np.uint64) * np.uint64(5)
+        x = (x << np.uint64(7) | x >> np.uint64(57)) * np.uint64(9)
+        # below 2**53, so the conversion and the scaling are exact
+        doubles = (x >> np.uint64(11)).astype(float) * (2.0 ** -53)
+        pos = self._pos
+        self._words = self._words[pos:] + x.tolist()
+        self._doubles = np.concatenate((self._doubles[pos:], doubles))
+        self._pos = 0
+
+    def _take(self, n: int) -> int:
+        """Mark the next ``n`` outputs read; return the block index of the
+        first of them."""
+        left = len(self._words) - self._pos
+        if left < n:
+            self._refill(max(_BLOCK, n - left))
+        start = self._pos
+        self._pos = start + n
+        return start
+
+    def _outputs(self, n: int) -> list[int]:
+        """The next ``n`` 64-bit outputs."""
+        start = self._take(n)
+        return self._words[start:start + n]
 
     def next_u64(self) -> int:
-        return self._outputs(1)[0]
+        # _take may replace the block, so it runs before the block is read
+        start = self._take(1)
+        return self._words[start]
 
     def uniform(self) -> float:
         """One double in [0, 1) from the top 53 bits."""
@@ -79,13 +111,16 @@ class Xoshiro256StarStar:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1), each ``uniform()`` of the next output."""
-        top = np.array(self._outputs(_count(n)), dtype=np.uint64) >> 11
-        # below 2**53, so the conversion and the scaling are exact
-        return top.astype(float) * (2.0 ** -53)
+        n = _count(n)
+        start = self._take(n)
+        return self._doubles[start:start + n].copy()
 
     def symmetric(self, n: int) -> np.ndarray:
-        """n doubles uniform on [-1, 1)."""
-        return 2.0 * self.uniforms(n) - 1.0
+        """n doubles uniform on [-1, 1), ``2 u - 1`` of the next n
+        ``uniforms``."""
+        n = _count(n)
+        start = self._take(n)
+        return 2.0 * self._doubles[start:start + n] - 1.0
 
     def integer(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection (unbiased);

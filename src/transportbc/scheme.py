@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -166,16 +167,22 @@ class StabilityResult(NamedTuple):
     argmax_theta: float
 
 
+@lru_cache(maxsize=128)
 def check_l2_stability(stencil: SchemeStencil, samples: int = 4096,
                        tol: float = 1e-9) -> StabilityResult:
     """Sup of ``|symbol|`` over the circle by dense sampling plus refinement.
 
     The grid maximum over ``samples`` uniform angles in [0, 2pi) is sharpened
     by a golden-section search on the bracketing interval down to width 1e-12.
-    ``is_stable`` holds when the refined maximum is at most ``1 + tol``.
+    ``is_stable`` holds when the refined maximum is at most ``1 + tol``, a
+    finite ``tol >= 0``.  The verdict is computed once per stencil and
+    arguments and reused by later calls (the last 128 are kept); a rejected
+    argument raises on every call, since exceptions are not cached.
     """
     if samples < 1024:
         raise ValueError("samples must be at least 1024")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and nonnegative")
     thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     mods = np.abs(symbol(stencil, thetas))
     k = int(np.argmax(mods))

@@ -47,6 +47,7 @@ statistic; both statistics are always emitted so the choice stays visible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -87,8 +88,14 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ValueError("interval length must be positive and finite")
-        if self.J < 1:
+        try:
+            J = operator.index(self.J)
+        except TypeError:
+            raise ValueError(f"cell count must be an integer, got {self.J!r}"
+                             ) from None
+        if J < 1:
             raise ValueError("cell count must be positive")
+        object.__setattr__(self, "J", J)
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("time-step ratio must be positive and finite")
 
@@ -436,12 +443,20 @@ def _block_errors(u: np.ndarray, ref: np.ndarray, dx: float,
 
 
 def n_steps(T: float, dt: float) -> int:
-    """Smallest n with ``n * dt >= T`` (tolerating 1e-9 relative float slop)."""
+    """Smallest n with ``n * dt >= T`` (tolerating 1e-9 relative float slop).
+
+    A ``dt`` so small that ``T / dt`` is not a finite float (it underflowed
+    to zero, or the quotient overflows) raises ``ValueError``.
+    """
     if not math.isfinite(T):
         raise ValueError("final time T must be finite")
     if T <= 0:
         return 0
-    return max(0, math.ceil(T / dt - 1e-9))
+    ratio = T / dt if dt > 0 else math.inf
+    if not math.isfinite(ratio):
+        raise ValueError(f"time step dt = {dt!r} is too small: T / dt is "
+                         "not finite")
+    return max(0, math.ceil(ratio - 1e-9))
 
 
 @dataclass

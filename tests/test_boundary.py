@@ -14,6 +14,11 @@ def test_boundary_spec_validation():
     BoundarySpec(outflow_order_kb=0)
     with pytest.raises(ValueError):
         BoundarySpec(outflow_order_kb=-1)
+    for bad in (1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="integer"):
+            BoundarySpec(bad)
+    bc = BoundarySpec(np.int64(2))
+    assert type(bc.outflow_order_kb) is int and bc.outflow_order_kb == 2
     with pytest.raises(TypeError):  # the inflow rule is not a parameter
         BoundarySpec(outflow_order_kb=1, inflow="periodic")
 

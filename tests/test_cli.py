@@ -263,6 +263,18 @@ def test_non_finite_inputs_rejected(capsys):
         assert "finite" in captured.err, argv
 
 
+def test_vanishing_time_step_rejected(capsys):
+    # dt underflows to a subnormal (T / dt overflows) or to zero
+    for argv in (["run", "--J", "10", "--lambda", "1e-320"],
+                 ["run", "--J", "10", "--lambda", "5e-324"],
+                 ["convergence", "--J-list", "10,20", "--L", "1e-320"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("error: "), argv
+        assert "too small" in captured.err, argv
+
+
 def test_non_finite_stencils_rejected(capsys):
     for scheme in ("r=1,p=0,a=-1:0.5,0:0.5;vel=1;lambda=inf",
                    "r=1,p=0,a=-1:nan,0:0.5;vel=1;lambda=0.5",

@@ -225,6 +225,12 @@ def test_energy_balance_input_validation():
     st = make_builtin("upwind", 1.0, 0.7)
     with pytest.raises(ValueError, match="one-dimensional"):
         verify_energy_balance(st, np.zeros((3, 3)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            verify_energy_balance(st, [0.0, bad, 1.0])
+    for dx in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dx"):
+            verify_energy_balance(st, [0.0, 1.0, 0.5], dx=dx)
 
 
 def test_energy_balance_dx_scaling():

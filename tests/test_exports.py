@@ -17,7 +17,8 @@ def test_every_export_resolves():
                 "amplification_expression", "build_amplification_form",
                 "decompose_zero_sum_form")),
     ("spectral", ("eigenvalue_path", "build_report", "SpectralReport")),
-], ids=["energy_split", "spectral_paths"])
+    ("energy", ("_cached_stability",)),
+], ids=["energy_split", "spectral_paths", "stability_cache"])
 def test_removed_names_are_gone(module, names):
     for name in names:
         assert name not in transportbc.__all__

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from transportbc import Xoshiro256StarStar
-from transportbc.rng import _splitmix64
+from transportbc.rng import _BLOCK, _splitmix64
+
+from _reference import ScalarXoshiro256StarStar
 
 
 def test_splitmix_reference_vector():
@@ -25,8 +27,12 @@ def test_known_state_outputs():
     gen = Xoshiro256StarStar(0)
     gen._s = [1, 2, 3, 4]
     assert gen.next_u64() == 11520
-    assert gen._s == [7, 0, 262146, 6 * 2 ** 45]
+    # the state words run ahead by the unread block, so the state after the
+    # first output, (7, 0, 262146, 6 * 2**45), is checked by its stream
+    after = ScalarXoshiro256StarStar(0)
+    after._s = [7, 0, 262146, 6 * 2 ** 45]
     assert gen.next_u64() == 0
+    assert [0] + gen._outputs(2 * _BLOCK) == after._outputs(2 * _BLOCK + 1)
 
 
 def test_frozen_seed_snapshot():
@@ -79,7 +85,7 @@ def test_integer_bounds_and_coverage():
 def test_batch_loop_matches_single_draws(n):
     batch, single = Xoshiro256StarStar(99), Xoshiro256StarStar(99)
     assert batch._outputs(n) == [single.next_u64() for _ in range(n)]
-    assert batch._s == single._s
+    assert batch._outputs(_BLOCK + 1) == single._outputs(_BLOCK + 1)
     u = Xoshiro256StarStar(99).uniforms(n)
     s = Xoshiro256StarStar(99).symmetric(n)
     single = Xoshiro256StarStar(99)
@@ -127,3 +133,55 @@ def test_draw_arguments_are_validated():
     assert gen._s == state  # a rejected argument draws nothing
     assert gen.integer(np.int64(28)) == Xoshiro256StarStar(3).integer(28)
     assert type(gen.integer(np.int64(28))) is int
+
+
+def _draw(gen, kind, n):
+    """One draw of the named kind, as plain Python values."""
+    if kind == "next_u64":
+        return gen.next_u64()
+    if kind == "integer":
+        return gen.integer(n + 1)
+    if kind == "uniform":
+        return gen.uniform()
+    out = getattr(gen, kind)(n)
+    if isinstance(out, np.ndarray):
+        assert out.shape == (n,) and out.dtype == float
+        out = out.tolist()
+    return out
+
+
+KINDS = ("next_u64", "integer", "uniform", "uniforms", "symmetric")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_first_draw_of_each_kind_matches_scalar_stream(kind):
+    # a fresh generator holds no block yet: each kind of draw must make one
+    # before reading it
+    for n in (0, 1, _BLOCK + 7):
+        gen, ref = Xoshiro256StarStar(31), ScalarXoshiro256StarStar(31)
+        assert _draw(gen, kind, n) == _draw(ref, kind, n), n
+        assert gen._outputs(3) == ref._outputs(3)
+
+
+def test_draws_straddling_a_refill_match_scalar_stream():
+    gen, ref = Xoshiro256StarStar(2026), ScalarXoshiro256StarStar(2026)
+    assert gen._outputs(_BLOCK - 3) == ref._outputs(_BLOCK - 3)
+    # 3 outputs left: a request of 10 reads them and 7 of the next block
+    assert gen.symmetric(10).tolist() == ref.symmetric(10)
+    assert gen.uniforms(0).tolist() == []
+    # larger than a block and than what is left: one block sized to it
+    n = 3 * _BLOCK + 5
+    assert gen.uniforms(n).tolist() == ref.uniforms(n)
+    assert gen.integer(2 ** 63 + 1) == ref.integer(2 ** 63 + 1)
+    assert gen._outputs(_BLOCK) == ref._outputs(_BLOCK)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+def test_mixed_draws_match_scalar_stream(seed):
+    gen, ref = Xoshiro256StarStar(seed), ScalarXoshiro256StarStar(seed)
+    plan = np.random.default_rng(seed % 1000)
+    for _ in range(400):
+        kind = KINDS[int(plan.integers(len(KINDS)))]
+        n = int(plan.choice([0, 1, 2, 28, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                             2 * _BLOCK + 9]))
+        assert _draw(gen, kind, n) == _draw(ref, kind, n), (kind, n)

@@ -132,6 +132,26 @@ def test_stability_rejects_coarse_sampling():
         check_l2_stability(st, samples=512)
 
 
+def test_stability_tolerance_must_be_finite_and_nonnegative():
+    st = make_builtin("lax_wendroff", 1.0, 0.7)
+    for bad in (-1.0, -1e-300, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            check_l2_stability(st, tol=bad)
+    assert check_l2_stability(st, tol=0.0).is_stable
+
+
+def test_stability_verdict_is_computed_once_per_stencil():
+    st = make_builtin("lax_friedrichs", 1.0, 0.55)
+    first = check_l2_stability(st)
+    hits = check_l2_stability.cache_info().hits
+    # an equal stencil built anew is the same key
+    again = check_l2_stability(make_builtin("lax_friedrichs", 1.0, 0.55))
+    assert again is first
+    assert check_l2_stability.cache_info().hits == hits + 1
+    # another tolerance is another verdict
+    assert check_l2_stability(st, tol=0.5) is not first
+
+
 def test_stability_maximum_matches_dense_scan():
     rng = np.random.default_rng(20240817)
     for _ in range(25):

@@ -30,6 +30,22 @@ def test_grid_spec_derived_quantities():
         GridSpec(L=1.0, J=0, lam=0.5)
 
 
+def test_grid_size_must_be_an_integer():
+    for bad in (2.5, 10.0, "10", None):
+        with pytest.raises(ValueError, match="integer"):
+            GridSpec(L=1.0, J=bad, lam=0.7)
+    grid = GridSpec(L=1.0, J=np.int64(10), lam=0.7)
+    assert type(grid.J) is int and grid.J == 10
+
+
+def test_n_steps_rejects_a_vanishing_time_step():
+    assert n_steps(0.5, 0.0175) == 29
+    for dt in (1e-310, 1e-321, 0.0, -0.1):
+        with pytest.raises(ValueError, match="too small"):
+            n_steps(0.5, dt)
+    assert n_steps(0.0, 0.0) == 0
+
+
 def test_non_finite_inputs_rejected():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):

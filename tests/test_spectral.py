@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -12,7 +13,8 @@ from transportbc import (ConvergenceError, SchemeStencil, TransitionMatrix,
                          pseudospectrum_grid, radius_condition,
                          smallest_singular_value, spectral_radius)
 
-from _reference import REFERENCE_SPECTRA, lagrange_weights, naive_run
+from _reference import (REFERENCE_SPECTRA, TRANSITION_EIGENVALUES,
+                        lagrange_weights, naive_run)
 
 LW = make_builtin("lax_wendroff", 1.0, 0.7)
 
@@ -180,19 +182,22 @@ def test_transition_eigenvalues_match_high_precision():
     # as they stand in float64 is off by 2.6e-5 to 3.6e-5 on the radius for
     # kb = 3, 4 and by 5.6e-3 to 5.5e-2 for the wider Lagrange stencils.
     # mpmath at 50 digits on the exact float64 entries is the independent
-    # oracle: a balancing that scaled by 1/rho instead of rho would pass
-    # every self-consistency check and fail here.
-    mpmath = pytest.importorskip("mpmath")
-    for J, stencil, kb in ((20, LW, 1), (20, LW, 2), (40, LW, 3),
-                           (40, LW, 4), (40, _lagrange(2, 1, 0.7), 2),
-                           (40, _lagrange(3, 2, 0.7), 2)):
-        A = assemble_transition_matrix(J, stencil, kb).entries
-        with mpmath.workdps(50):
-            ref = mpmath.eig(mpmath.matrix(A.tolist()), left=False,
-                             right=False)
-            ref = [complex(z) for z in ref]
-        got = eigenvalues(A)
-        _assert_spectra_match(got, ref, 1e-12)
+    # oracle (stored, with its provenance, in tests/_reference.py): a
+    # balancing that scaled by 1/rho instead of rho would pass every
+    # self-consistency check and fail here.
+    stencils = {"lax_wendroff": LW, "lagrange_2_1": _lagrange(2, 1, 0.7),
+                "lagrange_3_2": _lagrange(3, 2, 0.7)}
+    assert len(TRANSITION_EIGENVALUES) == 6
+    for (name, J, kb), (digest, pairs) in TRANSITION_EIGENVALUES.items():
+        A = assemble_transition_matrix(J, stencils[name], kb).entries
+        got_digest = hashlib.sha256(
+            np.ascontiguousarray(A, dtype="<f8").tobytes()).hexdigest()
+        assert got_digest == digest, (
+            f"{name} J={J} kb={kb}: the matrix entries changed; regenerate "
+            "TRANSITION_EIGENVALUES as tests/_reference.py describes")
+        ref = [complex(re, im) for re, im in pairs]
+        assert len(ref) == J
+        _assert_spectra_match(eigenvalues(A), ref, 1e-12)
         assert spectral_radius(A) == pytest.approx(
             max(abs(z) for z in ref), abs=1e-12)
 
