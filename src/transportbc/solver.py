@@ -34,12 +34,14 @@ the block's smallest shift ``a t``, can reach; that cell comes from the
 datum's ``support_min`` and, on the interval, from the zero gate at
 ``x = 0``, with a margin of one cell, and every cell left of it is exactly
 zero.  The grid coordinates are built once per grid.  ``reference_values``,
-the interval runs, the half-line runs and ``error_metrics`` re-measuring a
-recorded history in another convention all go through this one
-evaluation.  The arithmetic of every level and every norm is the one a
-loop of ``step`` calls would do, so the results do not depend on the block
-size.  The power datum is raised to its power only on its support, where
-the base is nonzero, and its gated cell averages are closed-form.
+the interval runs, the half-line runs and ``error_metrics`` re-measuring
+recorded levels all go through this one evaluation.  The arithmetic of
+every level and every norm is the one a loop of ``step`` calls would do,
+so the results do not depend on the block size.  The power datum is
+raised to its power only on its support, where the base is nonzero, and
+its gated cell averages are closed-form.  Run results are plain arrays
+of level interiors; a ``FieldState`` (a level with its ghost slots) is
+built only by ``initial_state`` and ``step``, the single-step API.
 
 Reported error tables use the midpoint convention with the sup-over-steps
 statistic; both statistics are always emitted so the choice stays visible.
@@ -199,19 +201,24 @@ class CallableDatum:
         return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
 
     def cell_average(self, xl, xr):
-        xl = np.asarray(xl, dtype=float)
-        xr = np.asarray(xr, dtype=float)
-        mid = 0.5 * (xl + xr)
-        half = 0.5 * (xr - xl)
-        acc = np.zeros(mid.shape)
-        term = np.empty(mid.shape)  # fn may return an array it keeps
-        for node, w in zip(_GL_NODES, _GL_WEIGHTS):
-            acc += np.multiply(w, self(mid + half * node), out=term)
-        return 0.5 * acc
+        return _gauss_average(self, np.asarray(xl, dtype=float),
+                              np.asarray(xr, dtype=float))
 
     @property
     def support_min(self) -> float | None:
         return self._support_min
+
+
+def _gauss_average(f, lo, hi) -> np.ndarray:
+    """16-point Gauss-Legendre average of ``f`` over each cell
+    ``(lo, hi)``, summed in node order from zero."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    acc = np.zeros(mid.shape)
+    term = np.empty(mid.shape)  # f may return an array it keeps
+    for node, w in zip(_GL_NODES, _GL_WEIGHTS):
+        acc += np.multiply(w, f(mid + half * node), out=term)
+    return 0.5 * acc
 
 
 def _gated(datum, xs):
@@ -296,17 +303,7 @@ def _shifted_reference(datum, grid: GridSpec, shift, convention: str,
         live[...] = ((F(np.maximum(hi, 0.0)) - F(np.maximum(lo, 0.0)))
                      / (hi - lo))
     else:
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        acc = np.zeros(lo.shape)
-        xs = np.empty(lo.shape)
-        for node, w in zip(_GL_NODES, _GL_WEIGHTS):
-            np.multiply(half, node, out=xs)
-            xs += mid
-            term = _gated(datum, xs)
-            term *= w
-            acc += term
-        live[...] = 0.5 * acc
+        live[...] = _gauss_average(lambda xs: _gated(datum, xs), lo, hi)
     return out
 
 
@@ -385,7 +382,7 @@ def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
            sources: np.ndarray | None = None,
            fill_final: bool = False) -> np.ndarray:
     """Advance the level array ``v`` (cells ``1-r..J+p``, zero inflow
-    ghosts) by ``N`` steps and return the last level.
+    ghosts) by ``N`` steps and return the last level's interior.
 
     The levels are the rows of one zeroed block buffer of at least two
     rows; each new interior is written by ``_next_level`` straight into the
@@ -424,7 +421,7 @@ def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
         k = (k + 1) % rows
         if n < N:
             _next_level(coeffs, level, block[k, r:end])
-    return level.copy()
+    return level[r:end].copy()
 
 
 def _row_dots(a: np.ndarray) -> np.ndarray:
@@ -443,25 +440,31 @@ def _block_errors(u: np.ndarray, ref: np.ndarray, dx: float,
 
 
 def n_steps(T: float, dt: float) -> int:
-    """Smallest n with ``n * dt >= T`` (tolerating 1e-9 relative float slop).
+    """Smallest n with ``n * dt >= T``, tolerating float slop: ``T / dt``
+    is lowered by an absolute 1e-9 before it is rounded up.
 
-    A ``dt`` so small that ``T / dt`` is not a finite float (it underflowed
-    to zero, or the quotient overflows) raises ``ValueError``.
+    A ``dt`` so small that ``T / dt`` exceeds ``2**53`` (or is not finite)
+    raises ``ValueError``: past it not every step count is a float, so
+    neither the count nor ``n * dt`` would be exact.
     """
     if not math.isfinite(T):
         raise ValueError("final time T must be finite")
     if T <= 0:
         return 0
     ratio = T / dt if dt > 0 else math.inf
-    if not math.isfinite(ratio):
-        raise ValueError(f"time step dt = {dt!r} is too small: T / dt is "
-                         "not finite")
+    if not ratio <= 2.0 ** 53:
+        raise ValueError(f"time step dt = {dt!r} is too small: T / dt = "
+                         f"{ratio!r} exceeds 2**53")
     return max(0, math.ceil(ratio - 1e-9))
 
 
 @dataclass
 class RunResult:
-    """Outcome of an interval run; history fields depend on the record mode."""
+    """Outcome of an interval run; history fields depend on the record mode.
+
+    ``final_state`` is the interior (cells ``1..J``) of the last level;
+    ``history`` holds the interior of level ``n`` in row ``n``.
+    """
 
     grid: GridSpec
     stencil: SchemeStencil
@@ -471,10 +474,10 @@ class RunResult:
     record: str
     n_steps: int
     t_final: float
-    final_state: FieldState
+    final_state: np.ndarray
     linf_history: np.ndarray | None = None
     l2_history: np.ndarray | None = None
-    history: list[FieldState] | None = None
+    history: np.ndarray | None = None
 
 
 def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
@@ -483,9 +486,9 @@ def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
     """March the interval scheme to the first time level at or past ``T``.
 
     ``record`` selects what is retained: ``"final"`` keeps just the last
-    state, ``"sup_error"`` additionally tracks per-step error norms against
-    the exact solution, ``"full_history"`` keeps every state (and the error
-    track).
+    level, ``"sup_error"`` additionally tracks per-step error norms against
+    the exact solution, ``"full_history"`` keeps every level's interior
+    (and the error track).
     """
     if record not in ("final", "sup_error", "full_history"):
         raise ValueError(f"unknown record mode {record!r}")
@@ -498,7 +501,7 @@ def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
     track = record != "final"
     linf_hist = np.zeros(N + 1) if track else None
     l2_hist = np.zeros(N + 1) if track else None
-    history = [] if record == "full_history" else None
+    history = np.empty((N + 1, J)) if record == "full_history" else None
 
     def observe(n0: int, block: np.ndarray) -> None:
         n1 = n0 + len(block)
@@ -506,18 +509,13 @@ def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
         _measure_levels(u, n0, datum, grid, stencil.velocity_a, convention,
                         linf_hist[n0:n1], l2_hist[n0:n1])
         if history is not None:
-            for n, row in enumerate(u, n0):
-                level = FieldState(J=J, r=r, p=stencil.p, time_index=n)
-                level.interior[:] = row
-                history.append(level)
+            history[n0:n1] = u
 
     final = _march(state.values, stencil, bc.outflow_order_kb, N,
                    observe if track else None)
     return RunResult(grid=grid, stencil=stencil, bc=bc, datum=datum,
                      convention=convention, record=record, n_steps=N,
-                     t_final=N * grid.dt,
-                     final_state=FieldState(J=J, r=r, p=stencil.p,
-                                            time_index=N, values=final),
+                     t_final=N * grid.dt, final_state=final,
                      linf_history=linf_hist, l2_history=l2_hist,
                      history=history)
 
@@ -542,47 +540,40 @@ class ErrorReport:
     sup_at_step: int | None
 
 
-def error_metrics(run: RunResult, datum=None, a: float | None = None,
+def error_metrics(run: RunResult,
                   convention: str | None = None) -> ErrorReport:
-    """Error norms of a recorded run.
+    """Error norms of a recorded run, in its own convention by default.
 
-    Final-step norms are always available.  Sup-over-steps norms need a run
-    recorded with ``sup_error`` or ``full_history``; asking for a different
-    convention than the run's needs ``full_history`` (states are re-measured).
+    The recorded error histories answer the run's own convention; every
+    other request re-measures recorded levels: the ``full_history`` rows,
+    or the final level alone of a ``"final"`` run (final-step norms only,
+    and only in its own convention).
     """
-    datum = run.datum if datum is None else datum
-    a = run.stencil.velocity_a if a is None else a
     convention = run.convention if convention is None else convention
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
-    grid = run.grid
-    as_recorded = (datum is run.datum and a == run.stencil.velocity_a
-                   and convention == run.convention)
-
-    if as_recorded and run.linf_history is not None:
+    own = convention == run.convention
+    if own and run.linf_history is not None:
         linf_hist, l2_hist = run.linf_history, run.l2_history
-    elif run.history is not None:
-        linf_hist = np.zeros(run.n_steps + 1)
-        l2_hist = np.zeros(run.n_steps + 1)
-        rows = max(1, _BLOCK_ENTRIES // grid.J)
-        for n0 in range(0, run.n_steps + 1, rows):
-            n1 = min(n0 + rows, run.n_steps + 1)
-            u = np.array([s.interior for s in run.history[n0:n1]])
-            _measure_levels(u, n0, datum, grid, a, convention,
-                            linf_hist[n0:n1], l2_hist[n0:n1])
-    elif run.record == "final" and convention == run.convention:
-        ref = reference_values(datum, grid, run.t_final, a, convention)
-        err = run.final_state.interior - ref
-        return ErrorReport(convention=convention,
-                           linf_final=float(np.max(np.abs(err))),
-                           l2_final=math.sqrt(grid.dx * float(np.dot(err, err))),
-                           linf_sup=None, l2_sup=None, sup_at_step=None)
-    else:
+    elif run.history is None and not own:
         raise ValueError(
-            "run did not record enough history to measure it against another "
-            f"datum, velocity or convention {convention!r}; rerun with "
-            "record='full_history'"
-        )
+            "run did not record enough history to measure it in convention "
+            f"{convention!r}; rerun with record='full_history'")
+    else:
+        # every recorded level, or the final one alone of a "final" run
+        levels = run.final_state[None] if run.history is None else run.history
+        first = run.n_steps + 1 - len(levels)
+        linf_hist, l2_hist = np.zeros(len(levels)), np.zeros(len(levels))
+        rows = max(1, _BLOCK_ENTRIES // run.grid.J)
+        for i in range(0, len(levels), rows):
+            _measure_levels(levels[i:i + rows], first + i, run.datum,
+                            run.grid, run.stencil.velocity_a, convention,
+                            linf_hist[i:i + rows], l2_hist[i:i + rows])
+    if run.record == "final":
+        return ErrorReport(convention=convention,
+                           linf_final=float(linf_hist[0]),
+                           l2_final=float(l2_hist[0]),
+                           linf_sup=None, l2_sup=None, sup_at_step=None)
     k = int(np.argmax(linf_hist))
     return ErrorReport(convention=convention,
                        linf_final=float(linf_hist[-1]),
@@ -663,8 +654,10 @@ def consistency_error_field(datum, grid: GridSpec, stencil: SchemeStencil,
 class HalflineResult:
     """Truncated half-line run with boundary traces and balance diagnostics.
 
-    ``traces[n]`` holds cells ``J+1-r-kb .. J+p`` at level n (ghosts filled
-    with that level's sources); ``masses``/``energies`` are ``dx * sum`` and
+    ``final_state`` is the window interior (cells ``1..J``) of level
+    ``steps``; ``traces[n]`` holds cells ``J+1-r-kb .. J+p`` at level n
+    (ghosts filled with that level's sources), so ``traces[-1]`` carries
+    the final outflow ghosts; ``masses``/``energies`` are ``dx * sum`` and
     ``dx * sum of squares`` over the window interior.
     """
 
@@ -673,7 +666,7 @@ class HalflineResult:
     kb: int
     steps: int
     convention: str
-    final_state: FieldState
+    final_state: np.ndarray
     initial_interior: np.ndarray
     traces: np.ndarray
     masses: np.ndarray
@@ -745,10 +738,7 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
     final = _march(state.values, stencil, kb, steps, observe,
                    sources=sources, fill_final=True)
     return HalflineResult(grid=grid, stencil=stencil, kb=kb, steps=steps,
-                          convention=convention,
-                          final_state=FieldState(J=grid.J, r=r, p=p,
-                                                 time_index=steps,
-                                                 values=final),
+                          convention=convention, final_state=final,
                           initial_interior=f0, traces=traces, masses=masses,
                           energies=energies, linf_history=linf_hist,
                           l2_history=l2_hist, sources=sources)

@@ -264,9 +264,11 @@ def test_non_finite_inputs_rejected(capsys):
 
 
 def test_vanishing_time_step_rejected(capsys):
-    # dt underflows to a subnormal (T / dt overflows) or to zero
+    # dt underflows to a subnormal (T / dt overflows) or to zero, or is so
+    # small that T / dt is finite but past 2**53 steps
     for argv in (["run", "--J", "10", "--lambda", "1e-320"],
                  ["run", "--J", "10", "--lambda", "5e-324"],
+                 ["run", "--J", "10", "--lambda", "1e-300"],
                  ["convergence", "--J-list", "10,20", "--L", "1e-320"]):
         assert main(argv) == 1, argv
         captured = capsys.readouterr()
