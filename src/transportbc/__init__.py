@@ -6,8 +6,7 @@ outflow closures, and ships the analysis tools that justify them: moment and
 symbol diagnostics, the summation-by-parts energy split, transition-matrix
 spectra, and refinement studies.
 """
-from .boundary import (BoundarySpec, backward_difference, fill_inflow_ghosts,
-                       fill_outflow_ghosts)
+from .boundary import BoundarySpec, fill_inflow_ghosts, fill_outflow_ghosts
 from .energy import (BoundaryForm, dissipation_and_boundary_form,
                      verify_energy_balance)
 from .rng import Xoshiro256StarStar
@@ -51,7 +50,6 @@ __all__ = [
     "TransitionMatrix",
     "Xoshiro256StarStar",
     "assemble_transition_matrix",
-    "backward_difference",
     "check_l2_stability",
     "consistency_error_field",
     "consistency_order",

@@ -57,25 +57,6 @@ def extrapolation_weights(kb: int) -> tuple[int, ...]:
     return tuple(math.comb(kb, m) * (-1) ** (m + 1) for m in range(1, kb + 1))
 
 
-def backward_difference(values: Sequence[float], m: int, index: int) -> float:
-    """m-th backward difference of ``values`` at ``index``.
-
-    ``(D_-^m v)_i = sum_{m'=0}^{m} C(m, m') (-1)^(m-m') v[i-m+m']``; the plain
-    first difference is ``v[i] - v[i-1]``.
-    """
-    if m < 0:
-        raise ValueError("difference order must be nonnegative")
-    if index >= len(values) or index - m < 0:
-        raise IndexError(
-            f"difference of order {m} at index {index} needs indices "
-            f"{index - m}..{index} inside 0..{len(values) - 1}"
-        )
-    return math.fsum(
-        math.comb(m, k) * (-1) ** (m - k) * values[index - m + k]
-        for k in range(m + 1)
-    )
-
-
 def fill_inflow_ghosts(state: FieldState) -> FieldState:
     """Set the left ghost cells to the inflow value zero (in place)."""
     state.left_ghosts[:] = 0.0

@@ -4,8 +4,9 @@ Every command emits either a short text report or a CSV whose first lines
 are ``#``-prefixed comments recording the fully resolved configuration, so
 identical invocations produce byte-identical files.
 
-Exit codes: 0 success, 1 validation failure (bad flags, rejected inputs),
-2 numerical non-convergence or a failed numerical check.
+Exit codes: 0 success (and ``--help``), 1 validation failure (bad or
+repeated flag values, unknown commands, rejected inputs), 2 numerical
+non-convergence or a failed numerical check.
 """
 from __future__ import annotations
 
@@ -82,6 +83,14 @@ def _parse_int_list(text: str) -> list[int]:
     return vals
 
 
+def _distinct(flag: str, values: list[int]) -> list[int]:
+    """``values``, refused if one repeats (a repeated CSV column or row)."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{flag} value {v} given twice")
+    return values
+
+
 def _emit(args, lines: list[str]) -> None:
     payload = "\n".join(lines) + "\n"
     if args.out:
@@ -148,7 +157,7 @@ def cmd_run(args) -> int:
     if args.J is None:
         raise ValueError("run needs --J")
     grid = GridSpec(L=args.L, J=args.J, lam=stencil.lam)
-    kbs = args.kb
+    kbs = _distinct("--kb", args.kb)
     N = n_steps(args.T, grid.dt)
     t_final = N * grid.dt
     numeric = {}
@@ -205,12 +214,12 @@ def cmd_convergence(args) -> int:
 def cmd_spectral(args) -> int:
     stencil = _resolve_stencil(args)
     if args.J_list is not None:
-        J_values = args.J_list
+        J_values = _distinct("--J-list", args.J_list)
     elif args.J is not None:
         J_values = [args.J]
     else:
         raise ValueError("spectral needs --J or --J-list")
-    kbs = args.kb
+    kbs = _distinct("--kb", args.kb)
     if args.pseudospectrum:
         if len(J_values) != 1 or len(kbs) != 1:
             raise ValueError("--pseudospectrum takes a single J and kb")
@@ -290,8 +299,17 @@ def cmd_energy_check(args) -> int:
     return 2 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, like every other rejected input, not
+    argparse's 2, which this CLI keeps for numerical failures."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="transportbc",
         description="Finite-difference transport schemes with extrapolation "
                     "outflow boundaries: verification, runs, tables, spectra.",

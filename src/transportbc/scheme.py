@@ -11,7 +11,11 @@ together with the transport velocity ``a > 0`` and the fixed time-step ratio
 ``lam = dt/dx``.  The amplification symbol is the trigonometric polynomial
 ``sum a_ell exp(i ell theta)``; its sup-modulus over the circle decides l2
 stability on the whole line, and the moment sums ``sum ell^m a_ell`` against
-``(-lam a)^m`` decide the consistency order.
+``(-lam a)^m`` decide the consistency order.  The sup-modulus is exact to
+rounding, not sampled: the squared modulus is a Chebyshev series in
+``cos theta`` with the stencil's autocorrelation as coefficients.  For
+stencils wider than three points, the angle comes from LAPACK's companion
+eigenvalues, and its last bits can depend on the BLAS kernel.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 BUILTIN_SCHEMES = ("upwind", "lax_friedrichs", "lax_wendroff")
 
@@ -108,13 +113,13 @@ def make_builtin(name: str, a: float, lam: float,
 def symbol(stencil: SchemeStencil, theta):
     """Amplification symbol ``sum a_ell exp(i ell theta)``.
 
-    Accepts a scalar angle or an array of angles.
+    Accepts a scalar angle or an array of angles.  The terms are added in
+    offset order, so an angle's value has the same bits alone or in an array.
     """
     th = np.asarray(theta, dtype=float)
-    ells = stencil.offsets.reshape((-1,) + (1,) * th.ndim)
-    vals = np.sum(stencil.coeff_array.reshape(ells.shape)
-                  * np.exp(1j * ells * th), axis=0)
-    if np.isscalar(theta) or th.ndim == 0:
+    vals = sum(c * np.exp(1j * ell * th)
+               for ell, c in zip(stencil.offsets, stencil.coeffs))
+    if th.ndim == 0:
         return complex(vals)
     return vals
 
@@ -142,23 +147,27 @@ def _moment(stencil: SchemeStencil, m: int) -> float:
     return math.fsum(terms)
 
 
-def consistency_order(stencil: SchemeStencil, tol: float = 1e-12,
-                      m_max: int = 10) -> ConsistencyReport:
+# moment m passes when within CONSISTENCY_TOL * max(1, (lam a)^m) of its
+# target; every moment up to CONSISTENCY_CAP passing caps the order there
+CONSISTENCY_TOL = 1e-12
+CONSISTENCY_CAP = 10
+
+
+def consistency_order(stencil: SchemeStencil) -> ConsistencyReport:
     """Largest k such that ``sum ell^m a_ell = (-lam a)^m`` for all m <= k.
 
-    The tolerance scales with the target magnitude, ``tol * max(1, (lam a)^m)``
-    at moment m.  A failure already at m = 0 (weights not summing to one)
-    returns order 0 with ``failed_moment = 0``.
+    The tolerance scales with the target magnitude, ``CONSISTENCY_TOL *
+    max(1, (lam a)^m)`` at moment m.  A failure already at m = 0 (weights not
+    summing to one) returns order 0 with ``failed_moment = 0``.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     target = -stencil.lam * stencil.velocity_a
-    for m in range(m_max + 1):
+    for m in range(CONSISTENCY_CAP + 1):
         scale = max(1.0, abs(target) ** m)
-        if abs(_moment(stencil, m) - target ** m) > tol * scale:
+        if abs(_moment(stencil, m) - target ** m) > CONSISTENCY_TOL * scale:
             return ConsistencyReport(order=max(0, m - 1),
                                      failed_moment=m, capped=False)
-    return ConsistencyReport(order=m_max, failed_moment=None, capped=True)
+    return ConsistencyReport(order=CONSISTENCY_CAP, failed_moment=None,
+                             capped=True)
 
 
 class StabilityResult(NamedTuple):
@@ -167,54 +176,41 @@ class StabilityResult(NamedTuple):
     argmax_theta: float
 
 
-@lru_cache(maxsize=128)
-def check_l2_stability(stencil: SchemeStencil, samples: int = 4096,
-                       tol: float = 1e-9) -> StabilityResult:
-    """Sup of ``|symbol|`` over the circle by dense sampling plus refinement.
+# slack of the verdict: stable when the symbol's sup-modulus is at most 1 + it
+STABILITY_SLACK = 1e-9
 
-    The grid maximum over ``samples`` uniform angles in [0, 2pi) is sharpened
-    by a golden-section search on the bracketing interval down to width 1e-12.
-    ``is_stable`` holds when the refined maximum is at most ``1 + tol``, a
-    finite ``tol >= 0``.  The verdict is computed once per stencil and
-    arguments and reused by later calls (the last 128 are kept); a rejected
-    argument raises on every call, since exceptions are not cached.
+
+@lru_cache(maxsize=128)
+def check_l2_stability(stencil: SchemeStencil) -> StabilityResult:
+    """Sup of ``|symbol|`` over the circle, from its cosine series.
+
+    ``|a(e^{i theta})|^2 = sum_k c_k T_k(cos theta)`` with ``c_0 = sum a_l^2``
+    and ``c_k = 2 sum_l a_l a_{l+k}`` (each sum exactly rounded), so the
+    maximum lies at ``cos theta = +-1`` or at a real root of the series'
+    derivative.  The symbol is evaluated at those candidates (real parts of
+    the roots, clipped to [-1, 1]) and the first largest wins: an endpoint
+    wins a tie, ``argmax_theta`` lies in [0, pi] and ``max_modulus`` is
+    ``np.abs(symbol(stencil, argmax_theta))`` to the bit.  For stencils wider
+    than three points the roots are LAPACK's companion-matrix eigenvalues, so
+    the last bits of the angle can depend on the BLAS kernel.  ``is_stable``
+    holds when the maximum is at most ``1 + STABILITY_SLACK``.  The verdict
+    is computed once per stencil and reused by later calls (the last 128 are
+    kept).
     """
-    if samples < 1024:
-        raise ValueError("samples must be at least 1024")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError("tol must be finite and nonnegative")
-    thetas = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    # scaled by a power of two, which moves no root, so that the products
+    # neither overflow nor underflow
+    e = math.frexp(max(map(abs, stencil.coeffs)))[1]
+    a = [math.ldexp(x, -e) for x in stencil.coeffs]
+    c = [math.fsum(a[i] * a[i + k] for i in range(len(a) - k))
+         * (1.0 if k == 0 else 2.0) for k in range(len(a))]
+    roots = chebyshev.chebroots(chebyshev.chebder(c))
+    xs = np.concatenate(([1.0, -1.0], np.clip(roots.real, -1.0, 1.0)))
+    thetas = np.arccos(xs)
     mods = np.abs(symbol(stencil, thetas))
     k = int(np.argmax(mods))
-    best_theta = float(thetas[k])
     best = float(mods[k])
-
-    h = 2.0 * np.pi / samples
-    lo, hi = best_theta - h, best_theta + h
-    # abs(symbol(stencil, th)) by the same ufuncs on the same shapes, with
-    # the arrays that do not depend on the angle built once
-    phase = 1j * stencil.offsets
-    coeffs = stencil.coeff_array
-    f = lambda th: abs(complex(np.sum(coeffs * np.exp(phase * th), axis=0)))
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-12:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-    mid = 0.5 * (lo + hi)
-    fmid = f(mid)
-    if fmid > best:
-        best, best_theta = fmid, mid % (2.0 * np.pi)
-    return StabilityResult(is_stable=best <= 1.0 + tol,
-                           max_modulus=best, argmax_theta=best_theta)
+    return StabilityResult(is_stable=best <= 1.0 + STABILITY_SLACK,
+                           max_modulus=best, argmax_theta=float(thetas[k]))
 
 
 def parse_stencil(text: str) -> SchemeStencil:

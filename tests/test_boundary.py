@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from transportbc import (BoundarySpec, FieldState, backward_difference,
-                         fill_inflow_ghosts, fill_outflow_ghosts)
+from transportbc import (BoundarySpec, FieldState, fill_inflow_ghosts,
+                         fill_outflow_ghosts)
 from transportbc.boundary import extrapolation_weights
 
 from _reference import naive_backward_difference
@@ -21,39 +21,6 @@ def test_boundary_spec_validation():
     assert type(bc.outflow_order_kb) is int and bc.outflow_order_kb == 2
     with pytest.raises(TypeError):  # the inflow rule is not a parameter
         BoundarySpec(outflow_order_kb=1, inflow="periodic")
-
-
-def test_backward_difference_small_orders():
-    v = [3.0, 5.0, 4.0, 1.0]
-    assert backward_difference(v, 0, 2) == 4.0
-    assert backward_difference(v, 1, 2) == -1.0
-    assert backward_difference(v, 2, 3) == pytest.approx(-2.0)
-
-
-def test_backward_difference_matches_recursion():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        n = int(rng.integers(5, 12))
-        v = list(rng.uniform(-3, 3, n))
-        m = int(rng.integers(0, n))
-        idx = int(rng.integers(m, n))
-        assert backward_difference(v, m, idx) == pytest.approx(
-            naive_backward_difference(v, m, idx), rel=1e-12, abs=1e-12)
-
-
-def test_backward_difference_bounds():
-    v = [1.0, 2.0, 3.0]
-    with pytest.raises(IndexError):
-        backward_difference(v, 1, 3)
-    with pytest.raises(IndexError):
-        backward_difference(v, 3, 2)
-
-
-def test_backward_difference_annihilates_polynomials():
-    # the m-th difference of a degree m-1 sequence vanishes
-    for m in range(1, 6):
-        v = [float(j) ** (m - 1) if m > 1 else 1.0 for j in range(10)]
-        assert backward_difference(v, m, 9) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fill_inflow_zeroes_left_ghosts():

@@ -107,6 +107,48 @@ def test_run_requires_grid_size(capsys):
     assert "--J" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--J", "abc"],
+    ["run", "--J", "10", "--kb", "1,x"],
+    ["no-such-command"],
+    [],
+    ["spectral", "--res", "x"],
+    ["verify", "--no-such-flag"],
+    ["run", "--convention", "nodal"],
+], ids=["int", "int_list", "command", "no_command", "res", "flag", "choice"])
+def test_usage_errors_exit_1(argv, capsys):
+    # argparse's own exit code 2 would read as a numerical failure
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err and "usage: " in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--J", "5", "--kb", "1,1"], "--kb value 1 "),
+    (["spectral", "--J", "8", "--kb", "2,1,2"], "--kb value 2 "),
+    (["spectral", "--J-list", "20,20"], "--J-list value 20 "),
+    (["spectral", "--J-list", "8,12,8", "--kb", "1"], "--J-list value 8 "),
+], ids=["run_kb", "spectral_kb", "spectral_J", "spectral_J_apart"])
+def test_repeated_list_values_rejected(argv, named, capsys):
+    # a repeated value would repeat a CSV column (run) or row (spectral)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert named in captured.err
+
+
 def test_convergence_table_matches_reference(capsys):
     assert main(["convergence", "--J-list", "10,20,40", "--kb", "2",
                  "--datum", "u01"]) == 0

@@ -18,7 +18,9 @@ def test_every_export_resolves():
                 "decompose_zero_sum_form")),
     ("spectral", ("eigenvalue_path", "build_report", "SpectralReport")),
     ("energy", ("_cached_stability",)),
-], ids=["energy_split", "spectral_paths", "stability_cache"])
+    ("boundary", ("backward_difference",)),
+], ids=["energy_split", "spectral_paths", "stability_cache",
+        "backward_difference"])
 def test_removed_names_are_gone(module, names):
     for name in names:
         assert name not in transportbc.__all__
