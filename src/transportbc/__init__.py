@@ -16,10 +16,9 @@ from .scheme import (BUILTIN_SCHEMES, ConsistencyReport, SchemeStencil,
 from .solver import (CallableDatum, ConvergenceRow, ErrorReport,
                      FunctionalRatio, GridSpec, HalflineResult,
                      PowerPlusDatum, RunResult, consistency_error_field,
-                     convergence_study, error_metrics, exact_solution,
-                     initial_state, n_steps, reference_values,
-                     run_halfline_outflow, run_interval,
-                     stability_functional_ratio, step)
+                     convergence_study, error_metrics, initial_state,
+                     n_steps, reference_values, run_halfline_outflow,
+                     run_interval, stability_functional_ratio, step)
 from .state import FieldState
 from .spectral import (ConvergenceError, PseudospectrumGrid, TransitionMatrix,
                        assemble_transition_matrix, eigenvalues,
@@ -57,7 +56,6 @@ __all__ = [
     "dissipation_and_boundary_form",
     "eigenvalues",
     "error_metrics",
-    "exact_solution",
     "fill_inflow_ghosts",
     "fill_outflow_ghosts",
     "format_stencil",

@@ -77,9 +77,13 @@ def _resolve_stencil(args, enforce_cfl: bool = True) -> SchemeStencil:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    vals = [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        vals = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        vals = []
     if not vals:
-        raise ValueError("empty integer list")
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}")
     return vals
 
 

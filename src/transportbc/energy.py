@@ -170,8 +170,7 @@ def _balance_rows(stencil: SchemeStencil, rows: np.ndarray,
 
 
 def verify_energy_balance(stencil: SchemeStencil, test_sequence,
-                          dx: float = 1.0,
-                          strict: bool = True) -> tuple[float, float, float]:
+                          dx: float = 1.0) -> tuple[float, float, float]:
     """Whole-line one-step energy balance on a compactly supported sequence.
 
     Returns ``(lhs, rhs, residual)`` with
@@ -182,10 +181,10 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     zero-extended sequence, through the row kernel that ``energy-check``
     runs on its batches of equal-length sequences, so a sequence gets the
     same bits alone or in a batch; ``d`` is computed once per stencil and
-    reused by later calls.  With ``strict`` (default), an l2-stable
-    stencil must show a nonpositive ``rhs`` (up to 1e-12 of the sequence
-    energy); a violation raises, since it would mean the split itself is
-    wrong.  The sequence must be finite and ``dx`` positive and finite.
+    reused by later calls.  An l2-stable stencil must show a nonpositive
+    ``rhs`` (up to 1e-12 of the sequence energy); a violation raises,
+    since it would mean the split itself is wrong.  The sequence must be
+    finite and ``dx`` positive and finite.
     """
     v = np.asarray(test_sequence, dtype=float)
     if v.ndim != 1:
@@ -196,11 +195,10 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
         raise ValueError("dx must be positive and finite")
     lhs, rhs, residual = (float(x[0]) for x in
                           _balance_rows(stencil, v[None, :], dx))
-    if strict:
-        scale = max(1.0, dx * float(np.dot(v, v)))
-        if check_l2_stability(stencil).is_stable and rhs > 1e-12 * scale:
-            raise AssertionError(
-                f"dissipation sum {rhs:.3e} is positive for an l2-stable "
-                "stencil; the energy split is inconsistent"
-            )
+    scale = max(1.0, dx * float(np.dot(v, v)))
+    if check_l2_stability(stencil).is_stable and rhs > 1e-12 * scale:
+        raise AssertionError(
+            f"dissipation sum {rhs:.3e} is positive for an l2-stable "
+            "stencil; the energy split is inconsistent"
+        )
     return lhs, rhs, residual

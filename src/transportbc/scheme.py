@@ -62,12 +62,6 @@ class SchemeStencil:
             raise ValueError("stencil coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
-    def coeff(self, ell: int) -> float:
-        """Weight of the offset ``ell`` in ``-r..p``."""
-        if not -self.r <= ell <= self.p:
-            raise IndexError(f"offset {ell} outside stencil range")
-        return self.coeffs[ell + self.r]
-
     @property
     def coeff_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=float)
@@ -115,10 +109,12 @@ def symbol(stencil: SchemeStencil, theta):
 
     Accepts a scalar angle or an array of angles.  The terms are added in
     offset order, so an angle's value has the same bits alone or in an array.
+    A sum beyond the float range is infinite, without a warning.
     """
     th = np.asarray(theta, dtype=float)
-    vals = sum(c * np.exp(1j * ell * th)
-               for ell, c in zip(stencil.offsets, stencil.coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = sum(c * np.exp(1j * ell * th)
+                   for ell, c in zip(stencil.offsets, stencil.coeffs))
     if th.ndim == 0:
         return complex(vals)
     return vals
@@ -141,10 +137,21 @@ class ConsistencyReport(NamedTuple):
 def _moment(stencil: SchemeStencil, m: int) -> float:
     # Exact integer powers, summed largest-magnitude first to limit
     # cancellation between the upstream and downstream wings.
-    terms = [(ell ** m) * c for ell, c in zip(range(-stencil.r, stencil.p + 1),
-                                              stencil.coeffs)]
+    pairs = list(zip(range(-stencil.r, stencil.p + 1), stencil.coeffs))
+    terms = [(ell ** m) * c for ell, c in pairs]
     terms.sort(key=abs, reverse=True)
-    return math.fsum(terms)
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        # a term or a partial sum left the float range: sum exactly, and
+        # round a moment beyond the range to an infinity (fractions is
+        # imported only here, since it loads decimal with it)
+        from fractions import Fraction
+        exact = sum(Fraction(ell ** m) * Fraction(c) for ell, c in pairs)
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
 
 # moment m passes when within CONSISTENCY_TOL * max(1, (lam a)^m) of its

@@ -28,20 +28,23 @@ full block is measured at once: one broadcast call evaluates the reference
 values of all its time levels (one row per level), and the error norms,
 masses, energies and boundary traces are computed one block at a time,
 each in a few whole-block calls (the l2 norms and energies as one stacked
-product of every row with itself).  The reference values of a block are
-evaluated only from the first cell that the datum's support, shifted by
-the block's smallest shift ``a t``, can reach; that cell comes from the
-datum's ``support_min`` and, on the interval, from the zero gate at
-``x = 0``, with a margin of one cell, and every cell left of it is exactly
-zero.  The grid coordinates are built once per grid.  ``reference_values``,
-the interval runs, the half-line runs and ``error_metrics`` re-measuring
-recorded levels all go through this one evaluation.  The arithmetic of
-every level and every norm is the one a loop of ``step`` calls would do,
-so the results do not depend on the block size.  The power datum is
-raised to its power only on its support, where the base is nonzero, and
-its gated cell averages are closed-form.  Run results are plain arrays
-of level interiors; a ``FieldState`` (a level with its ghost slots) is
-built only by ``initial_state`` and ``step``, the single-step API.
+product of every row with itself).  Every reference value is the datum
+shifted by ``a t`` and cut to zero at ``x <= 0``, the exact solution of
+the interval problem; the half-line window check keeps the support right
+of ``x = 0``, so the cut changes nothing there.  The reference values of
+a block are evaluated only from the first cell that the shifted support
+can reach; that cell comes from the datum's ``support_min`` and the zero
+gate, with a margin of one cell, and every cell left of it is exactly
+zero.  The grid coordinates are built once per grid.  The interval runs,
+the half-line runs and ``error_metrics`` re-measuring recorded levels all
+measure through ``_measure_levels``, that is through ``reference_values``.
+The arithmetic of every level and every norm is the one a loop of
+``step`` calls would do, so the results do not depend on the block size.
+The power datum is raised to its power only on its support, where the
+base is nonzero, and its gated cell averages are closed-form.  Run
+results are plain arrays of level interiors; a ``FieldState`` (a level
+with its ghost slots) is built only by ``initial_state`` and ``step``,
+the single-step API.
 
 Reported error tables use the midpoint convention with the sup-over-steps
 statistic; both statistics are always emitted so the choice stays visible.
@@ -222,26 +225,15 @@ def _gauss_average(f, lo, hi) -> np.ndarray:
 
 
 def _gated(datum, xs):
-    """``datum(xs)``, zero wherever ``xs <= 0``.  A power datum with
-    ``c >= 0`` already vanishes there, so it is evaluated ungated."""
-    if isinstance(datum, PowerPlusDatum) and datum.c >= 0.0:
+    """``datum(xs)``, zero wherever ``xs <= 0``.  A datum whose support
+    starts right of 0 already vanishes there, so it is evaluated as it is."""
+    lower = datum.support_min
+    if lower is not None and lower > 0.0:
         return datum(xs)
     return np.where(xs > 0.0, datum(xs), 0.0)
 
 
-def exact_solution(datum, x, t: float, a: float):
-    """Shifted datum ``u0(x - a t)``, zero wherever ``x - a t <= 0``.
-
-    The zero gate encodes the convention that interval data live on the
-    positive axis and are extended by zero to the left.
-    """
-    vals = _gated(datum, np.asarray(x, dtype=float) - a * t)
-    if np.isscalar(x):
-        return float(vals)
-    return vals
-
-
-def _first_live_column(edges: np.ndarray, shift, lower: float | None) -> int:
+def _first_live_column(edges: np.ndarray, shift, lower: float) -> int:
     """Number of leading cells on which the datum shifted by every entry
     of ``shift`` vanishes, when it vanishes left of ``lower``.
 
@@ -250,11 +242,10 @@ def _first_live_column(edges: np.ndarray, shift, lower: float | None) -> int:
     back lies about a cell left of ``lower``.  The rounding of the shifted
     midpoints, edges and quadrature nodes is a few ulps of the largest
     coordinate, far below that margin whenever ``2**-40`` of the
-    coordinates is below the cell width; otherwise, and for an unknown
-    ``lower``, nothing is skipped.
+    coordinates is below the cell width; otherwise nothing is skipped.
     """
     shift = np.asarray(shift)
-    if lower is None or shift.size == 0:
+    if shift.size == 0:
         return 0
     least, most = float(shift.min()), float(shift.max())
     dx = edges[1]
@@ -266,38 +257,38 @@ def _first_live_column(edges: np.ndarray, shift, lower: float | None) -> int:
     return max(0, int(edges.searchsorted(target, side="right")) - 1)
 
 
-def _shifted_reference(datum, grid: GridSpec, shift, convention: str,
-                       gate: bool) -> np.ndarray:
-    """Values of the datum shifted by ``shift`` on cells 1..J (one row per
-    entry when ``shift`` is a column): midpoint samples or exact cell
-    averages, of the datum cut to zero at ``x <= 0`` with ``gate`` and of
-    the datum as it is without.
+def reference_values(datum, grid: GridSpec, t, a: float,
+                     convention: str) -> np.ndarray:
+    """Per-cell reference (exact-solution) values in the given convention:
+    midpoint samples or exact cell averages of the datum shifted by
+    ``a t`` and cut to zero at ``x <= 0``.
 
-    The datum is evaluated only from the first column its shifted support
-    can reach (``_first_live_column``, from ``support_min`` and, with
-    ``gate``, from 0); the cells left of it are ``0.0``.  The evaluated
-    cells have the bits of a full-width evaluation.
+    ``t`` is one time, giving a length-``J`` array, or a 1-D array of
+    times, giving one row per time.  The datum is evaluated only from the
+    first column its shifted support can reach (``_first_live_column``,
+    from ``support_min`` and from 0); the cells left of it are ``0.0``.
+    The evaluated cells have the bits of a full-width evaluation.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError("t must be one time or a 1-D array of times")
+    shift = a * (t[:, None] if t.ndim == 1 else t)
     mids, edges = _grid_coordinates(grid.L, grid.J)
-    lower = getattr(datum, "support_min", None)
-    if gate:
-        lower = 0.0 if lower is None else max(0.0, lower)
+    lower = datum.support_min
+    lower = 0.0 if lower is None else max(0.0, lower)
     j0 = _first_live_column(edges, shift, lower)
     out = np.zeros(np.shape(shift)[:-1] + (grid.J,))
     if j0 == grid.J:
         return out
     live = out[..., j0:]
     if convention == "midpoint":
-        xs = mids[j0:] - shift
-        live[...] = _gated(datum, xs) if gate else datum(xs)
+        live[...] = _gated(datum, mids[j0:] - shift)
         return out
     lo = edges[j0:-1] - shift
     hi = edges[j0 + 1:] - shift
-    if not gate:
-        live[...] = datum.cell_average(lo, hi)
-    elif isinstance(datum, PowerPlusDatum):
+    if isinstance(datum, PowerPlusDatum):
         # closed form of the average of the datum cut to zero at x <= 0
         F = datum.antiderivative
         live[...] = ((F(np.maximum(hi, 0.0)) - F(np.maximum(lo, 0.0)))
@@ -305,23 +296,6 @@ def _shifted_reference(datum, grid: GridSpec, shift, convention: str,
     else:
         live[...] = _gauss_average(lambda xs: _gated(datum, xs), lo, hi)
     return out
-
-
-def reference_values(datum, grid: GridSpec, t, a: float,
-                     convention: str) -> np.ndarray:
-    """Per-cell reference (exact-solution) values in the given convention:
-    midpoint samples or exact cell averages of the shifted datum, extended
-    by zero left of ``x = 0``.
-
-    ``t`` is one time, giving a length-``J`` array, or a 1-D array of
-    times, giving one row per time.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1:
-        raise ValueError("t must be one time or a 1-D array of times")
-    if t.ndim == 1:
-        t = t[:, None]
-    return _shifted_reference(datum, grid, a * t, convention, gate=True)
 
 
 def initial_state(datum, grid: GridSpec, stencil: SchemeStencil,
@@ -687,7 +661,9 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
     it during ``steps`` steps (support spreads left by ``p`` cells per step).
     ``sources`` has shape ``(steps+1, p)``: row n supplies ``g_{J+1..J+p}``
     for the level-n ghost fill (row ``steps`` only feeds the final trace).
-    Errors are measured against the ungated shifted datum.
+    Errors are measured against ``reference_values``, as on the interval;
+    the window check keeps the datum's support right of ``x = 0`` (to
+    rounding), so the zero gate there cuts off nothing.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -713,7 +689,7 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
         if sources.shape != (steps + 1, p):
             raise ValueError(f"sources must have shape ({steps + 1}, {p})")
 
-    a, dx, dt = stencil.velocity_a, grid.dx, grid.dt
+    dx = grid.dx
     state = initial_state(datum, grid, stencil, convention)
     f0 = state.interior.copy()
 
@@ -731,9 +707,8 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
         u = block[:, r:r + grid.J]
         masses[n0:n1] = dx * np.sum(u, axis=1)
         energies[n0:n1] = dx * _row_dots(u)
-        shift = ((a * np.arange(n0, n1)) * dt)[:, None]
-        ref = _shifted_reference(datum, grid, shift, convention, gate=False)
-        _block_errors(u, ref, dx, linf_hist[n0:n1], l2_hist[n0:n1])
+        _measure_levels(u, n0, datum, grid, stencil.velocity_a, convention,
+                        linf_hist[n0:n1], l2_hist[n0:n1])
 
     final = _march(state.values, stencil, kb, steps, observe,
                    sources=sources, fill_final=True)

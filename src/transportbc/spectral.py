@@ -39,6 +39,10 @@ from .solver import _next_level
 # whole row of shifts at moderate J, fewer shifts per stack at large J.
 _STACK_ENTRIES = 2 ** 20
 
+# Cap on ``n_max * J^3`` in ``power_norm_envelope``: one matrix product and
+# one SVD per power, so the cap bounds its flops.
+ENVELOPE_BUDGET = 2.5e9
+
 
 class ConvergenceError(RuntimeError):
     """A LAPACK eigenvalue or singular value computation did not converge."""
@@ -255,22 +259,21 @@ def operator_norm_l2(matrix, rtol: float = 1e-12,
 
 
 def power_norm_envelope(matrix, n_max: int,
-                        budget: float = 2.5e9,
                         rtol: float = 1e-12) -> np.ndarray:
     """l2 norms of ``A^n`` for ``n = 0..n_max``.
 
     Each power is its predecessor times ``A``, and its norm is its largest
-    singular value.  ``budget`` caps ``n_max * J^3``.  ``rtol`` is accepted
-    for compatibility and has no effect.
+    singular value.  ``n_max * J^3`` may not exceed ``ENVELOPE_BUDGET``.
+    ``rtol`` is accepted for compatibility and has no effect.
     """
     A = _entries(matrix)
     n = A.shape[0]
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if n_max * float(n) ** 3 > budget:
+    if n_max * float(n) ** 3 > ENVELOPE_BUDGET:
         raise ValueError(
             f"n_max * J^3 = {n_max * n ** 3:.2e} exceeds the flop budget "
-            f"{budget:.2e}"
+            f"{ENVELOPE_BUDGET:.2e}"
         )
     norms = np.ones(n_max + 1)
     P = np.eye(n)

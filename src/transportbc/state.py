@@ -49,19 +49,6 @@ class FieldState:
         """View of cells J+1..J+p."""
         return self.values[self.r + self.J:]
 
-    def get(self, j: int) -> float:
-        """Value at cell index ``j`` (ghosts included)."""
-        return float(self.values[self._pos(j)])
-
-    def set(self, j: int, v: float) -> None:
-        self.values[self._pos(j)] = v
-
-    def _pos(self, j: int) -> int:
-        pos = j + self.r - 1
-        if not 0 <= pos < len(self.values):
-            raise IndexError(f"cell index {j} outside 1-r..J+p")
-        return pos
-
     def copy(self) -> "FieldState":
         return FieldState(J=self.J, r=self.r, p=self.p,
                           time_index=self.time_index,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import transportbc
-from transportbc import cli, energy, spectral
+from transportbc import cli, energy, solver, spectral
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -65,9 +65,18 @@ def test_tracer_installs_on_every_target_and_uninstalls(monkeypatch,
 
 
 def test_workload_keywords_bind():
-    matrix = spectral.assemble_transition_matrix(
-        8, transportbc.make_builtin("lax_wendroff", 1.0, 0.7), 1)
+    lw = transportbc.make_builtin("lax_wendroff", 1.0, 0.7)
+    matrix = spectral.assemble_transition_matrix(8, lw, 1)
     inspect.signature(spectral.operator_norm_l2).bind(
         matrix, rtol=1e-9, max_iter=20)
     inspect.signature(spectral.power_norm_envelope).bind(
         matrix, 4, rtol=1e-9)
+    datum = solver.CallableDatum(np.zeros_like, support_min=0.6)
+    grid = solver.GridSpec(L=1.0, J=8, lam=0.7)
+    inspect.signature(solver.run_halfline_outflow).bind(
+        datum, grid, lw, kb=1, steps=2)
+    run = solver.run_interval(datum, grid, lw, transportbc.BoundarySpec(1),
+                              0.1, record="full_history",
+                              convention="cell_average")
+    solver.error_metrics(run, convention="midpoint")
+    energy.verify_energy_balance(lw, np.ones(3))

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +126,8 @@ def test_usage_errors_exit_1(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: " in captured.err and "usage: " in captured.err
+    # the message names the flag, not the package's private helpers
+    assert not re.search(r"\b_\w", captured.err), captured.err
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
@@ -283,6 +287,38 @@ def test_energy_check_output_does_not_depend_on_chunk(chunk, monkeypatch,
     for case in cases:
         got = _call(case["argv"], capsys)
         assert got == {k: case[k] for k in ("exit", "stdout", "stderr")}
+
+
+# coefficients whose sums leave the float range; in the second, the
+# first moment's terms overflow to both infinities
+HUGE_STENCIL = "r=1,p=0,a=-1:1.7e308,0:1.7e308;vel=1;lambda=1"
+HUGE_WINGS = ("r=2,p=2,a=-2:1e308,-1:-1e308,0:1,1:-1e308,2:1e308;vel=1;"
+              "lambda=0.5")
+
+
+@pytest.mark.parametrize("argv, out, err", [
+    (["verify", "--scheme", HUGE_STENCIL],
+     "consistency order 0\nl2 symbol max modulus inf at theta=0.0: UNSTABLE\n"
+     "boundary certificate skipped (needs first-order consistency)\n"
+     "FAIL: consistency order 0 < 1 (moment 0 fails)\n"
+     "FAIL: amplification symbol exceeds modulus 1\n", ""),
+    (["energy-check", "--scheme", HUGE_STENCIL], "",
+     "error: boundary form needs a first-order consistent stencil "
+     "(moment 0 fails)\n"),
+    (["verify", "--scheme", HUGE_WINGS],
+     "consistency order 0\nl2 symbol max modulus inf at "
+     "theta=3.141592653589793: UNSTABLE\n"
+     "boundary certificate skipped (needs first-order consistency)\n"
+     "FAIL: consistency order 0 < 1 (moment 1 fails)\n"
+     "FAIL: amplification symbol exceeds modulus 1\n", ""),
+], ids=["verify", "energy-check", "verify_infinite_terms"])
+def test_overflowing_stencil_is_reported(argv, out, err, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith(out)
+    assert captured.err == err
 
 
 def test_energy_check_rejects_negative_trials(capsys):

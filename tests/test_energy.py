@@ -177,7 +177,7 @@ def test_energy_balance_holds_for_unstable_stencil():
     grew = False
     for _ in range(20):
         v = rng.uniform(-1, 1, 30)
-        lhs, rhs, residual = verify_energy_balance(st, v, strict=True)
+        lhs, rhs, residual = verify_energy_balance(st, v)
         assert residual <= 1e-12 * max(1.0, float(np.dot(v, v)))
         grew = grew or rhs > 0
     assert grew  # an amplifying stencil must show energy production
@@ -217,7 +217,7 @@ def test_energy_balance_lhs_is_bit_exact_against_scalar_loop(width):
                     acc += c * vv[j + i - r]
             stepped[j] = acc
         want = 0.125 * float(np.sum(stepped * stepped) - np.sum(vv * vv))
-        lhs, _, _ = verify_energy_balance(st, v, dx=0.125, strict=False)
+        lhs, _, _ = verify_energy_balance(st, v, dx=0.125)
         assert lhs == want, (width, len(v))
 
 
@@ -349,7 +349,7 @@ def test_balance_rows_are_bit_exact_per_row(width):
             one = [float(x[0]) for x in
                    energy._balance_rows(st, rows[i:i + 1], dx)]
             plain = _plain_balance(st, v, dx)
-            single = verify_energy_balance(st, v, dx=dx, strict=False)
+            single = verify_energy_balance(st, v, dx=dx)
             for got, a, b, c in zip((x[i] for x in batch), one, plain,
                                     single):
                 assert _same_bits(float(got), a), (width, length, i)

@@ -1,6 +1,9 @@
+import inspect
+
 import pytest
 
 import transportbc
+from transportbc import energy, spectral
 
 
 def test_every_export_resolves():
@@ -19,10 +22,29 @@ def test_every_export_resolves():
     ("spectral", ("eigenvalue_path", "build_report", "SpectralReport")),
     ("energy", ("_cached_stability",)),
     ("boundary", ("backward_difference",)),
+    ("solver", ("exact_solution", "_shifted_reference")),
 ], ids=["energy_split", "spectral_paths", "stability_cache",
-        "backward_difference"])
+        "backward_difference", "reference_path"])
 def test_removed_names_are_gone(module, names):
     for name in names:
         assert name not in transportbc.__all__
         assert not hasattr(transportbc, name)
         assert not hasattr(getattr(transportbc, module), name)
+
+
+@pytest.mark.parametrize("function, parameter", [
+    (energy.verify_energy_balance, "strict"),
+    (spectral.power_norm_envelope, "budget"),
+], ids=["strict", "budget"])
+def test_removed_parameters_are_gone(function, parameter):
+    assert parameter not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize("owner, name", [
+    (transportbc.SchemeStencil, "coeff"),
+    (transportbc.FieldState, "get"),
+    (transportbc.FieldState, "set"),
+    (transportbc.FieldState, "_pos"),
+], ids=["coeff", "get", "set", "_pos"])
+def test_removed_methods_are_gone(owner, name):
+    assert not hasattr(owner, name)

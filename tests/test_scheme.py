@@ -65,15 +65,6 @@ def test_stencil_rejects_non_finite_values():
         parse_stencil("r=1,p=0,a=-1:nan,0:0.5;vel=1;lambda=0.5")
 
 
-def test_coeff_lookup_by_offset():
-    lw = make_builtin("lax_wendroff", 1.0, 0.7)
-    assert lw.coeff(-1) == pytest.approx(0.595)
-    assert lw.coeff(0) == pytest.approx(0.51)
-    assert lw.coeff(1) == pytest.approx(-0.105)
-    with pytest.raises(IndexError):
-        lw.coeff(2)
-
-
 def test_symbol_at_special_angles():
     lw = make_builtin("lax_wendroff", 1.0, 0.7)
     # theta = 0: the symbol equals the coefficient sum, which is 1

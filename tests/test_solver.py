@@ -6,7 +6,7 @@ import pytest
 from transportbc import (BoundarySpec, CallableDatum, FieldState, GridSpec,
                          PowerPlusDatum, SchemeStencil,
                          consistency_error_field, convergence_study,
-                         error_metrics, exact_solution, fill_inflow_ghosts,
+                         error_metrics, fill_inflow_ghosts,
                          fill_outflow_ghosts, initial_state, make_builtin,
                          n_steps, reference_values, run_halfline_outflow,
                          run_interval, solver, stability_functional_ratio,
@@ -129,11 +129,6 @@ def test_power_datum_arithmetic_matches_plain_formulas():
                 assert np.array_equal(d.cell_average(lo, hi),
                                       _plain_average(lo, hi, c, alpha),
                                       equal_nan=True), case
-                plain = _plain_power(xx - 0.3 * a, c, alpha)
-                if c < 0.0:
-                    plain = np.where(xx - 0.3 * a > 0.0, plain, 0.0)
-                assert np.array_equal(exact_solution(d, xx, 0.3, a), plain,
-                                      equal_nan=True), case
             assert np.isnan(d(x)[17]) and np.isnan(d.antiderivative(x)[17])
             mids = grid.cell_midpoints - a * times[:, None]
             want = _plain_power(mids, c, alpha)
@@ -157,8 +152,6 @@ def test_power_datum_arithmetic_matches_plain_formulas():
                 assert np.array_equal(got, _plain_power(xs, c, alpha),
                                       equal_nan=True), case
                 assert isinstance(d.antiderivative(xs), np.float64), case
-            assert exact_solution(d, 1.0, 0.3, a) == float(
-                _plain_power(1.0 - 0.3 * a, c, alpha))
 
 
 def test_callable_datum_average_exact_on_polynomials():
@@ -169,15 +162,16 @@ def test_callable_datum_average_exact_on_polynomials():
                                                    rel=1e-14)
 
 
-def test_exact_solution_zero_gate():
+def test_reference_values_zero_gate():
     # data extended by zero to the left of the origin: the shifted profile
     # must vanish wherever x - a t <= 0 even if the raw datum would not
     d = PowerPlusDatum(-0.2, 2.0)
     assert d(-0.1) > 0.0
-    assert exact_solution(d, 0.05, 0.2, 1.0) == 0.0
-    assert exact_solution(d, 0.5, 0.2, 1.0) == pytest.approx(0.5 ** 2)
-    vals = exact_solution(d, np.array([0.1, 0.3]), 0.2, 1.0)
-    assert vals[0] == 0.0 and vals[1] > 0.0
+    grid = GridSpec(L=1.0, J=10, lam=0.7)  # midpoints 0.05, 0.15, ...
+    vals = reference_values(d, grid, 0.2, 1.0, "midpoint")
+    assert np.all(vals[:2] == 0.0)
+    assert vals[2] == pytest.approx(0.25 ** 2)
+    assert vals[4] == pytest.approx(0.45 ** 2)
 
 
 def test_initial_state_conventions():
@@ -388,7 +382,7 @@ def test_halfline_diagnostics_match_direct_sums():
         grid.dx * float(np.dot(u_end, u_end)))
     assert res.initial_interior == pytest.approx(
         d.cell_average(grid.cell_edges[:-1], grid.cell_edges[1:]))
-    # errors measured against the ungated shifted datum
+    # errors measured against the shifted datum
     t = 5 * grid.dt
     ref = d.cell_average(grid.cell_edges[:-1] - t, grid.cell_edges[1:] - t)
     assert res.linf_history[-1] == pytest.approx(
@@ -511,13 +505,7 @@ def _stepped_halfline(datum, grid, st, kb, steps, sources, convention):
         u = state.interior
         masses[n] = grid.dx * float(np.sum(u))
         energies[n] = grid.dx * float(np.dot(u, u))
-        shift = a * n * grid.dt
-        if convention == "midpoint":
-            ref = datum(grid.cell_midpoints - shift)
-        else:
-            ref = datum.cell_average(grid.cell_edges[:-1] - shift,
-                                     grid.cell_edges[1:] - shift)
-        err = u - ref
+        err = u - reference_values(datum, grid, n * grid.dt, a, convention)
         linf[n] = np.max(np.abs(err))
         l2[n] = math.sqrt(grid.dx * float(np.dot(err, err)))
     return state, f0, traces, masses, energies, linf, l2
@@ -734,23 +722,15 @@ def test_gated_power_average_is_exact_for_negative_offset():
 
 # -- reference values evaluated only where the shifted support reaches ------
 
-def _full_width_reference(datum, grid, shift, convention, gate):
+def _full_width_reference(datum, grid, shift, convention):
     """Reference values on every cell of ``grid`` of the datum shifted by
-    ``shift``, cut to zero at x <= 0 with ``gate`` (the interval runs and
-    ``reference_values``) and as it is without (the half-line runs)."""
+    ``shift`` and cut to zero at x <= 0."""
     xs = grid.cell_midpoints - shift
     lo = grid.cell_edges[:-1] - shift
     hi = grid.cell_edges[1:] - shift
-    power = isinstance(datum, PowerPlusDatum)
-    if not gate:
-        if convention == "midpoint":
-            return datum(xs)
-        return datum.cell_average(lo, hi)
     if convention == "midpoint":
-        if power and datum.c >= 0.0:
-            return datum(xs)
         return np.where(xs > 0.0, datum(xs), 0.0)
-    if power:
+    if isinstance(datum, PowerPlusDatum):
         F = datum.antiderivative
         return (F(np.maximum(hi, 0.0)) - F(np.maximum(lo, 0.0))) / (hi - lo)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -791,7 +771,7 @@ def test_live_columns_match_full_width_evaluation(monkeypatch, entries):
                 case = (J, d, conv)
                 for a in (1.0, 2.3, 0.0, -0.5):
                     want = _full_width_reference(d, grid, a * times[:, None],
-                                                 conv, gate=True)
+                                                 conv)
                     got = reference_values(d, grid, times, a, conv)
                     assert np.array_equal(got, want, equal_nan=True), case
                     got = reference_values(d, grid, times[9], a, conv)
@@ -807,8 +787,8 @@ def test_live_columns_match_full_width_evaluation(monkeypatch, entries):
                                          * grid.dt)[:, None]
                 for measure in ("midpoint", "cell_average"):
                     linf, l2 = _row_norms(
-                        levels, _full_width_reference(d, grid, shift, measure,
-                                                      gate=True), grid.dx)
+                        levels, _full_width_reference(d, grid, shift, measure),
+                        grid.dx)
                     if measure == conv:
                         assert np.array_equal(run.linf_history, linf), case
                         assert np.array_equal(run.l2_history, l2), case
@@ -817,7 +797,7 @@ def test_live_columns_match_full_width_evaluation(monkeypatch, entries):
                         (np.max(linf), np.max(l2), linf[-1]), (case, measure)
                 if d.support_min is None or d.support_min < 0.5:
                     continue
-                # the half-line run measures against the ungated datum
+                # the half-line run measures the same way
                 steps = 12
                 res = run_halfline_outflow(d, grid, LW, 1, steps,
                                            convention=conv)
@@ -826,14 +806,37 @@ def test_live_columns_match_full_width_evaluation(monkeypatch, entries):
                 for _ in range(steps):
                     state = step(state, LW, BoundarySpec(1))
                     levels.append(state.interior)
-                shift = ((LW.velocity_a * np.arange(steps + 1))
-                         * grid.dt)[:, None]
+                shift = LW.velocity_a * (np.arange(steps + 1)
+                                         * grid.dt)[:, None]
                 linf, l2 = _row_norms(
                     np.array(levels),
-                    _full_width_reference(d, grid, shift, conv, gate=False),
-                    grid.dx)
+                    _full_width_reference(d, grid, shift, conv), grid.dx)
                 assert np.array_equal(res.linf_history, linf), case
                 assert np.array_equal(res.l2_history, l2), case
+
+
+def test_halfline_errors_are_norms_against_reference_values():
+    # at a != 1 the half-line levels are measured as the interval's are:
+    # against the gated reference_values at t = n * dt, bit for bit
+    st = make_builtin("lax_wendroff", 1.3, 0.7)
+    grid = GridSpec(L=1.0, J=40, lam=st.lam)
+    steps = 20
+    times = np.arange(steps + 1) * grid.dt
+    for d in (PowerPlusDatum(0.55, 2.5), _bump(0.6, 0.3)):
+        for conv in ("midpoint", "cell_average"):
+            res = run_halfline_outflow(d, grid, st, 1, steps,
+                                       convention=conv)
+            levels = [res.initial_interior]
+            state = initial_state(d, grid, st, conv)
+            for _ in range(steps):
+                state = step(state, st, BoundarySpec(1))
+                levels.append(state.interior)
+            linf, l2 = _row_norms(
+                np.array(levels),
+                reference_values(d, grid, times, st.velocity_a, conv),
+                grid.dx)
+            assert np.array_equal(res.linf_history, linf), (d, conv)
+            assert np.array_equal(res.l2_history, l2), (d, conv)
 
 
 def test_datum_is_evaluated_only_on_live_columns():

@@ -16,22 +16,6 @@ def test_layout_and_views():
     assert s.values[0] == -1.0 and s.values[-1] == 9.0
 
 
-def test_cell_indexing():
-    s = FieldState(J=3, r=1, p=2)
-    s.values[:] = np.arange(6, dtype=float)
-    # cells run 1..J; ghosts 1-r..0 on the left, J+1..J+p on the right
-    assert s.get(0) == 0.0
-    assert s.get(1) == 1.0
-    assert s.get(3) == 3.0
-    assert s.get(5) == 5.0
-    s.set(2, -7.0)
-    assert s.interior[1] == -7.0
-    with pytest.raises(IndexError):
-        s.get(-1)
-    with pytest.raises(IndexError):
-        s.get(6)
-
-
 def test_copy_is_independent():
     s = FieldState(J=3, r=1, p=1)
     s.interior[:] = [1.0, 2.0, 3.0]
