@@ -38,6 +38,9 @@ NAMED_DATA = {
 # memory does not grow with --trials
 _TRIAL_CHUNK = 512
 
+# pseudospectrum grid points per axis when --res is not given
+_RES = 64
+
 
 def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
@@ -224,18 +227,21 @@ def cmd_spectral(args) -> int:
     else:
         raise ValueError("spectral needs --J or --J-list")
     kbs = _distinct("--kb", args.kb)
+    if args.res is not None and not args.pseudospectrum:
+        raise ValueError("--res needs --pseudospectrum")
     if args.pseudospectrum:
         if len(J_values) != 1 or len(kbs) != 1:
             raise ValueError("--pseudospectrum takes a single J and kb")
         J, kb = J_values[0], kbs[0]
+        res = _RES if args.res is None else args.res
         matrix = assemble_transition_matrix(J, stencil, kb)
-        grid = pseudospectrum_grid(matrix, resolution=args.res)
+        grid = pseudospectrum_grid(matrix, resolution=res)
         header = _config_header(
-            args, stencil, J=J, kb=kb, res=args.res,
+            args, stencil, J=J, kb=kb, res=res,
             re_range="-1.5,1.5", im_range="-1.5,1.5",
         )
         rows = [(grid.re[k], grid.im[i], grid.sigma[i, k])
-                for i in range(args.res) for k in range(args.res)]
+                for i in range(res) for k in range(res)]
         _emit(args, _csv_lines(header, ["re", "im", "sigma_min"], rows))
         return 0
     rows = []
@@ -312,63 +318,87 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _add_scheme(p) -> None:
+    p.add_argument("--scheme", default="lax_wendroff",
+                   help="builtin name or a custom stencil string "
+                        "'r=..,p=..,a=-1:..,0:..;vel=..;lambda=..'")
+    p.add_argument("--a", type=float, default=None,
+                   help="transport velocity (builtins only, default 1)")
+    p.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help="time-step ratio dt/dx (builtins only, default 0.7)")
+    p.add_argument("--out", default=None,
+                   help="output path (default stdout)")
+
+
+def _add_J(p) -> None:
+    p.add_argument("--J", type=int, default=None, help="cell count")
+
+
+def _add_J_list(p) -> None:
+    p.add_argument("--J-list", dest="J_list", type=_parse_int_list,
+                   default=None, help="comma-separated cell counts")
+
+
+def _add_kb(p) -> None:
+    p.add_argument("--kb", type=_parse_int_list, default=[1],
+                   help="extrapolation order(s), comma-separated")
+
+
+def _add_problem(p) -> None:
+    """The interval problem that ``run`` and ``convergence`` march."""
+    p.add_argument("--L", type=float, default=1.0)
+    p.add_argument("--T", type=float, default=0.5)
+    p.add_argument("--datum", default="u01")
+    p.add_argument("--convention", default="midpoint",
+                   choices=["midpoint", "cell_average"])
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each command declares exactly the flags its ``cmd_*`` reads, and
+    only full spellings are accepted (no argparse prefix matching)."""
     parser = _Parser(
         prog="transportbc",
         description="Finite-difference transport schemes with extrapolation "
                     "outflow boundaries: verification, runs, tables, spectra.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p) -> None:
-        p.add_argument("--scheme", default="lax_wendroff",
-                       help="builtin name or a custom stencil string "
-                            "'r=..,p=..,a=-1:..,0:..;vel=..;lambda=..'")
-        p.add_argument("--a", type=float, default=None,
-                       help="transport velocity (builtins only, default 1)")
-        p.add_argument("--lambda", dest="lam", type=float, default=None,
-                       help="time-step ratio dt/dx (builtins only, "
-                            "default 0.7)")
-        p.add_argument("--out", default=None, help="output path (default "
-                                                   "stdout)")
+    p = sub.add_parser("verify", allow_abbrev=False,
+                       help="consistency, stability, and "
+                            "boundary-certificate report")
+    _add_scheme(p)
 
-    def add_grid(p) -> None:
-        p.add_argument("--L", type=float, default=1.0)
-        p.add_argument("--J", type=int, default=None)
-        p.add_argument("--J-list", dest="J_list", type=_parse_int_list,
-                       default=None, help="comma-separated cell counts")
-        p.add_argument("--kb", type=_parse_int_list, default=[1],
-                       help="extrapolation order(s), comma-separated")
-        p.add_argument("--T", type=float, default=0.5)
-        p.add_argument("--datum", default="u01")
-        p.add_argument("--convention", default="midpoint",
-                       choices=["midpoint", "cell_average"])
+    p = sub.add_parser("run", allow_abbrev=False,
+                       help="solution dump at the first step at or past T")
+    _add_scheme(p)
+    _add_J(p)
+    _add_kb(p)
+    _add_problem(p)
 
-    p = sub.add_parser("verify", help="consistency, stability, and "
-                                      "boundary-certificate report")
-    add_common(p)
+    p = sub.add_parser("convergence", allow_abbrev=False,
+                       help="refinement table of errors and observed orders")
+    _add_scheme(p)
+    _add_J_list(p)
+    _add_kb(p)
+    _add_problem(p)
 
-    p = sub.add_parser("run", help="solution dump at the first step at or "
-                                   "past T")
-    add_common(p)
-    add_grid(p)
-
-    p = sub.add_parser("convergence", help="refinement table of errors and "
-                                           "observed orders")
-    add_common(p)
-    add_grid(p)
-
-    p = sub.add_parser("spectral", help="transition-matrix radius/norm "
-                                        "report or pseudospectrum grid")
-    add_common(p)
-    add_grid(p)
+    p = sub.add_parser("spectral", allow_abbrev=False,
+                       help="transition-matrix radius/norm report or "
+                            "pseudospectrum grid")
+    _add_scheme(p)
+    cells = p.add_mutually_exclusive_group()
+    _add_J(cells)
+    _add_J_list(cells)
+    _add_kb(p)
     p.add_argument("--pseudospectrum", action="store_true")
-    p.add_argument("--res", type=int, default=64,
-                   help="pseudospectrum grid resolution per axis")
+    p.add_argument("--res", type=int, default=None,
+                   help="pseudospectrum grid resolution per axis "
+                        f"(with --pseudospectrum only, default {_RES})")
 
-    p = sub.add_parser("energy-check", help="randomized energy-identity "
-                                            "verification")
-    add_common(p)
+    p = sub.add_parser("energy-check", allow_abbrev=False,
+                       help="randomized energy-identity verification")
+    _add_scheme(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
     return parser

@@ -105,12 +105,17 @@ def dissipation_and_boundary_form(
     ``Q`` is the reduced form ``T`` of the split conjugated into the
     difference coordinates; its value on the center direction must come out
     as ``-lambda a`` (asserted), which is what makes the boundary term in
-    the summed energy balance strictly damping.
+    the summed energy balance strictly damping.  The stencil must be
+    first-order consistent and reach a left neighbour (``r >= 1``).
     """
     report = consistency_order(stencil)
     if report.order < 1:
         raise ValueError("boundary form needs a first-order consistent "
                          f"stencil (moment {report.failed_moment} fails)")
+    if stencil.r < 1:
+        # consistent only when lambda * a is below the consistency tolerance
+        raise ValueError("boundary form needs r >= 1: without a left "
+                         "neighbour there is no center direction")
     d, T = _energy_split(stencil)
     Minv = _difference_coordinates_inverse(stencil.r, stencil.p)
     Q = Minv.T @ T @ Minv

@@ -195,14 +195,15 @@ def check_l2_stability(stencil: SchemeStencil) -> StabilityResult:
     and ``c_k = 2 sum_l a_l a_{l+k}`` (each sum exactly rounded), so the
     maximum lies at ``cos theta = +-1`` or at a real root of the series'
     derivative.  The symbol is evaluated at those candidates (real parts of
-    the roots, clipped to [-1, 1]) and the first largest wins: an endpoint
-    wins a tie, ``argmax_theta`` lies in [0, pi] and ``max_modulus`` is
-    ``np.abs(symbol(stencil, argmax_theta))`` to the bit.  For stencils wider
-    than three points the roots are LAPACK's companion-matrix eigenvalues, so
-    the last bits of the angle can depend on the BLAS kernel.  ``is_stable``
-    holds when the maximum is at most ``1 + STABILITY_SLACK``.  The verdict
-    is computed once per stencil and reused by later calls (the last 128 are
-    kept).
+    the roots, clipped to [-1, 1]; leading derivative coefficients below
+    rounding of the largest are dropped) and the first largest wins: an
+    endpoint wins a tie, ``argmax_theta`` lies in [0, pi] and
+    ``max_modulus`` is ``np.abs(symbol(stencil, argmax_theta))`` to the bit.
+    For stencils wider than three points the roots are LAPACK's
+    companion-matrix eigenvalues, so the last bits of the angle can depend
+    on the BLAS kernel.  ``is_stable`` holds when the maximum is at most
+    ``1 + STABILITY_SLACK``.  The verdict is computed once per stencil and
+    reused by later calls (the last 128 are kept).
     """
     # scaled by a power of two, which moves no root, so that the products
     # neither overflow nor underflow
@@ -210,7 +211,13 @@ def check_l2_stability(stencil: SchemeStencil) -> StabilityResult:
     a = [math.ldexp(x, -e) for x in stencil.coeffs]
     c = [math.fsum(a[i] * a[i + k] for i in range(len(a) - k))
          * (1.0 if k == 0 else 2.0) for k in range(len(a))]
-    roots = chebyshev.chebroots(chebyshev.chebder(c))
+    # a leading coefficient below rounding of the largest (a tiny end
+    # coefficient) only adds roots far outside [-1, 1]; kept, it scales the
+    # companion matrix so badly that the roots inside are lost, or, when
+    # subnormal, overflows it
+    der = chebyshev.chebder(c)
+    der = chebyshev.chebtrim(der, np.finfo(float).eps * np.max(np.abs(der)))
+    roots = chebyshev.chebroots(der)
     xs = np.concatenate(([1.0, -1.0], np.clip(roots.real, -1.0, 1.0)))
     thetas = np.arccos(xs)
     mods = np.abs(symbol(stencil, thetas))

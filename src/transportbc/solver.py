@@ -454,6 +454,14 @@ class RunResult:
     history: np.ndarray | None = None
 
 
+def _check_ratio(grid: GridSpec, stencil: SchemeStencil) -> None:
+    """Refuse a grid whose ``dt / dx`` is not the one the stencil's
+    coefficients were built for: it would march another problem."""
+    if grid.lam != stencil.lam:
+        raise ValueError(f"grid lambda {grid.lam!r} differs from the "
+                         f"stencil's lambda {stencil.lam!r}")
+
+
 def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
                  bc: BoundarySpec, T: float, record: str = "sup_error",
                  convention: str = "midpoint") -> RunResult:
@@ -462,12 +470,13 @@ def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
     ``record`` selects what is retained: ``"final"`` keeps just the last
     level, ``"sup_error"`` additionally tracks per-step error norms against
     the exact solution, ``"full_history"`` keeps every level's interior
-    (and the error track).
+    (and the error track).  ``grid.lam`` must equal ``stencil.lam``.
     """
     if record not in ("final", "sup_error", "full_history"):
         raise ValueError(f"unknown record mode {record!r}")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
+    _check_ratio(grid, stencil)
     N = n_steps(T, grid.dt)
     state = initial_state(datum, grid, stencil, convention)
     r, J = stencil.r, grid.J
@@ -603,13 +612,15 @@ def consistency_error_field(datum, grid: GridSpec, stencil: SchemeStencil,
     ``e_j^n = -(w_j^n - sum_l a_l w_{j+l}^{n-1}) / dt`` where ``w_j^n`` is the
     exact cell average of the datum shifted by ``a t^n``; the datum must be
     globally defined (no zero gate is applied).  Returns ``e_j^n`` for
-    ``j = window[0] .. window[1]`` inclusive.
+    ``j = window[0] .. window[1]`` inclusive.  ``grid.lam`` must equal
+    ``stencil.lam``.
     """
     if n < 1:
         raise ValueError("time index must be at least 1")
     j_lo, j_hi = window
     if j_hi < j_lo:
         raise ValueError("empty index window")
+    _check_ratio(grid, stencil)
     a = stencil.velocity_a
     dx, dt = grid.dx, grid.dt
 
@@ -663,12 +674,14 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
     for the level-n ghost fill (row ``steps`` only feeds the final trace).
     Errors are measured against ``reference_values``, as on the interval;
     the window check keeps the datum's support right of ``x = 0`` (to
-    rounding), so the zero gate there cuts off nothing.
+    rounding), so the zero gate there cuts off nothing.  ``grid.lam`` must
+    equal ``stencil.lam``.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
+    _check_ratio(grid, stencil)
     r, p = stencil.r, stencil.p
     if grid.J < r + kb:
         raise ValueError(f"window of {grid.J} cells cannot expose the "

@@ -108,14 +108,13 @@ def _entries(matrix) -> np.ndarray:
     return A
 
 
-def _solve(solver, *args):
-    """``solver(*args)`` with a LAPACK failure raised as ConvergenceError."""
+def _lapack(what: str, solver, *args, **kwargs):
+    """``solver(*args, **kwargs)`` with a LAPACK failure raised as
+    ConvergenceError naming ``what``."""
     try:
-        return solver(*args)
+        return solver(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"eigenvalue computation failed: {exc}"
-        ) from exc
+        raise ConvergenceError(f"{what} failed: {exc}") from exc
 
 
 def _log_rho(lags: np.ndarray, q: np.ndarray, lo: float, hi: float) -> float:
@@ -197,7 +196,8 @@ def eigenvalues(matrix) -> np.ndarray:
         # one-sided stencils: the spectrum is the diagonal, exactly; a
         # solver would trade that for Jordan-block sensitivity
         return np.diag(A).astype(complex)
-    return _solve(np.linalg.eigvals, B).astype(complex)
+    vals = _lapack("eigenvalue computation", np.linalg.eigvals, B)
+    return vals.astype(complex)
 
 
 def radius_condition(matrix) -> float:
@@ -214,11 +214,12 @@ def radius_condition(matrix) -> float:
     B = _balanced(_entries(matrix))
     if B is None:
         return 1.0
-    vals, right = _solve(np.linalg.eig, B)
+    vals, right = _lapack("eigenvalue computation", np.linalg.eig, B)
     j = int(np.argmax(np.abs(vals)))
     # row j of right^-1 is the left eigenvector scaled to y^H x = 1; with a
     # unit x, its length is 1 / |y^H x| for the unit y
-    left = _solve(np.linalg.solve, right.T, np.eye(len(vals))[j])
+    left = _lapack("eigenvalue computation", np.linalg.solve, right.T,
+                   np.eye(len(vals))[j])
     return float(np.linalg.norm(left))
 
 
@@ -235,12 +236,8 @@ def spectral_radius(matrix) -> float:
 
 def _singular_values(B: np.ndarray) -> np.ndarray:
     """Singular values in descending order (stacked over leading axes)."""
-    try:
-        return np.linalg.svd(B, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"singular value decomposition did not converge: {exc}"
-        ) from exc
+    return _lapack("singular value decomposition", np.linalg.svd, B,
+                   compute_uv=False)
 
 
 def _norm2(A: np.ndarray) -> float:

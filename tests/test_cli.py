@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -136,6 +137,88 @@ def test_help_exits_0(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert "usage: " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--J", "10", "--J-list", "1,2"],
+    ["convergence", "--J-list", "10,20", "--J", "7"],
+    ["spectral", "--J", "8", "--L", "2"],
+    ["spectral", "--J", "8", "--T", "1"],
+    ["spectral", "--J", "8", "--datum", "u02"],
+    ["spectral", "--J", "8", "--convention", "midpoint"],
+    ["spectral", "--J", "8", "--J-list", "8"],
+    ["verify", "--sch", "upwind"],
+    ["run", "--J", "8", "--lam", "0.5"],
+    ["spectral", "--J", "8", "--pseudo"],
+    ["--he"],
+], ids=["run_J_list", "convergence_J", "spectral_L", "spectral_T",
+        "spectral_datum", "spectral_convention", "spectral_J_and_J_list",
+        "prefix_scheme", "prefix_lambda", "prefix_pseudospectrum",
+        "prefix_help"])
+def test_unread_and_abbreviated_flags_are_refused(argv, capsys):
+    # a command takes only the flags it reads, and only in full: a prefix
+    # would let a dropped flag come back as another flag's abbreviation
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err and "usage: " in captured.err
+    assert not re.search(r"\b_\w", captured.err), captured.err
+
+
+def test_res_needs_pseudospectrum(capsys):
+    assert main(["spectral", "--J", "8", "--res", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--res" in captured.err and "--pseudospectrum" in captured.err
+    assert main(["spectral", "--J", "8", "--pseudospectrum"]) == 0
+    out = _lines(capsys)
+    assert "# res=64" in out
+    assert len([ln for ln in out if not ln.startswith("#")]) == 1 + 64 * 64
+
+
+# argv covering each command's modes; together they must read every flag
+# the command declares
+_MODES = {
+    "verify": [["verify"]],
+    "run": [["run", "--J", "8", "--T", "0"]],
+    "convergence": [["convergence", "--J-list", "10,20"]],
+    "spectral": [["spectral", "--J", "8"], ["spectral", "--J-list", "8,12"],
+                 ["spectral", "--J", "8", "--pseudospectrum", "--res", "3"]],
+    "energy-check": [["energy-check", "--trials", "3"]],
+}
+
+
+def _declared_and_read(argv, capsys) -> tuple[set, set]:
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    args = cli.build_parser().parse_args(argv, namespace=Recording())
+    declared = set(vars(args))
+    reads.clear()  # argparse reads the namespace while it parses
+    assert cli._COMMANDS[args.command](args) == 0
+    capsys.readouterr()
+    return declared, reads
+
+
+def test_modes_cover_every_command():
+    assert set(_MODES) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_MODES))
+def test_every_declared_flag_is_read(command, capsys):
+    declared, read = set(), set()
+    for argv in _MODES[command]:
+        d, r = _declared_and_read(argv, capsys)
+        declared |= d
+        read |= r
+    assert declared - read == set()
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -319,6 +402,28 @@ def test_overflowing_stencil_is_reported(argv, out, err, capsys):
     captured = capsys.readouterr()
     assert captured.out.endswith(out)
     assert captured.err == err
+
+
+def test_subnormal_end_coefficient_gets_a_verdict(capsys):
+    scheme = "r=2,p=1,a=-2:1e-320,-1:0.5,0:0.25,1:0.25;vel=1;lambda=0.5"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--scheme", scheme]) == 1
+    captured = capsys.readouterr()
+    assert "l2 symbol max modulus 1.0 at theta=0.0: stable" in captured.out
+    assert "FAIL: consistency order 0 < 1 (moment 1 fails)" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "energy-check"])
+def test_one_point_stencil_is_refused(command, capsys):
+    # consistent to the tolerance (lambda * a = 1e-13), but with r = 0 the
+    # boundary form has no center direction
+    scheme = "r=0,p=0,a=0:1;vel=1;lambda=1e-13"
+    assert main([command, "--scheme", scheme]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: boundary form needs r >= 1")
 
 
 def test_energy_check_rejects_negative_trials(capsys):

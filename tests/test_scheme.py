@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,30 @@ def test_stability_of_extreme_coefficient_scales():
         brute = float(np.max(np.abs(symbol(st, th))))
         assert brute <= res.max_modulus <= brute * (1 + 1e-8)
         assert res.is_stable == (scale < 1)
+
+
+def test_stability_of_a_tiny_end_coefficient():
+    # the derivative series' leading coefficient 2 * a_-2 * a_1 is
+    # subnormal; kept, its companion matrix overflows
+    st = SchemeStencil(r=2, p=1, coeffs=(1e-320, 0.5, 0.25, 0.25),
+                       velocity_a=1.0, lam=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = check_l2_stability(st)
+    assert res.is_stable
+    assert res.max_modulus == 1.0
+    assert res.argmax_theta == 0.0
+    th = np.linspace(0.0, np.pi, 20001)
+    assert float(np.max(np.abs(symbol(st, th)))) <= 1.0
+    # a normal but tiny end coefficient: kept, the companion matrix is so
+    # badly scaled that its roots in [-1, 1] are lost and this unstable
+    # stencil was judged stable at 0.977
+    st = SchemeStencil(r=2, p=3, coeffs=(1e-50, -0.43, 0.0, -0.48, 0.35,
+                                         0.33), velocity_a=1.0, lam=0.5)
+    res = check_l2_stability(st)
+    brute = float(np.max(np.abs(symbol(st, th))))
+    assert not res.is_stable
+    assert brute <= res.max_modulus <= brute * (1 + 1e-8)
 
 
 def test_parse_stencil_reference_string():

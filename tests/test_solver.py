@@ -36,6 +36,24 @@ def test_grid_spec_derived_quantities():
         GridSpec(L=1.0, J=0, lam=0.5)
 
 
+def test_grid_ratio_must_match_stencil():
+    # LW's coefficients at lambda = 0.7 on a grid with dt = 0.5 dx would
+    # march 80 steps of another problem
+    grid = GridSpec(L=1.0, J=80, lam=0.5)
+    datum = PowerPlusDatum(0.5, 3.0)
+    calls = [
+        lambda: run_interval(datum, grid, LW, BoundarySpec(1), 0.5),
+        lambda: run_halfline_outflow(PowerPlusDatum(0.5, 2.0), grid, LW, 1,
+                                     2),
+        lambda: consistency_error_field(datum, grid, LW, 1, (1, 3)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"0\.5 .*0\.7"):
+            call()
+    good = GridSpec(L=1.0, J=80, lam=0.7)
+    assert run_interval(datum, good, LW, BoundarySpec(1), 0.5).n_steps == 58
+
+
 def test_grid_size_must_be_an_integer():
     for bad in (2.5, 10.0, "10", None):
         with pytest.raises(ValueError, match="integer"):
