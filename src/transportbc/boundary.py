@@ -15,7 +15,8 @@ one may consume those already filled.  The closure is written once: the
 integer weights of ``extrapolation_weights`` and the left-to-right recursion
 of ``_fill_outflow`` that applies them.  The ghost fill here, the solver's
 time march and the transition-matrix assembly (which fills the ghosts of
-all unit levels at once, one per column) all run that one recursion.
+the unit levels that reach them at once, one per column) all run that one
+recursion.
 """
 from __future__ import annotations
 
@@ -68,12 +69,13 @@ def _fill_outflow(values: np.ndarray, end: int, weights: tuple[int, ...],
     """Fill ``values[end:]``, the outflow ghosts of a plain level array, in
     place from the closure ``weights``, left to right so that each ghost
     reads the ones before it; ``sources`` holds their ``g`` (zeros when
-    omitted).  A 2-D ``values`` holds one level per column and is filled
-    row by row."""
+    omitted).  A 1-D level is read as Python floats; a 2-D ``values``
+    holds one level per column and is filled row by row."""
+    read = values.item if values.ndim == 1 else values.__getitem__
     for q in range(len(values) - end):
         acc = float(sources[q]) if sources is not None else 0.0
         for m, w in enumerate(weights, 1):
-            acc += w * values[end + q - m]
+            acc += w * read(end + q - m)
         values[end + q] = acc
 
 

@@ -23,18 +23,23 @@ each cell as one BLAS dot, which sums in order from zero only for short
 vectors, so stencils wider than ``_CORRELATE_WIDTH`` keep an ordered loop
 of multiply-adds; either way every level has the bits of that loop.  That
 kernel, ``_next_level``, is the package's only stencil sum: the
-transition-matrix assembly and the energy balance step with it too.  Each
-full block is measured at once: one broadcast call evaluates the reference
-values of all its time levels (one row per level), and the error norms,
-masses, energies and boundary traces are computed one block at a time,
-each in a few whole-block calls (the l2 norms and energies as one stacked
-product of every row with itself).  Every reference value is the datum
-shifted by ``a t`` and cut to zero at ``x <= 0``, the exact solution of
-the interval problem; the half-line window check keeps the support right
-of ``x = 0``, so the cut changes nothing there.  The reference values of
+transition-matrix assembly and the energy balance step with it too.  The
+march selects that kernel and builds its row views once, so a step is one
+ghost fill and one kernel call.  Each full block is measured at once: one
+broadcast call evaluates the reference values of all its time levels (one
+row per level), and the error norms, masses, energies and boundary traces
+are computed one block at a time, each in a few whole-block calls (the l2
+norms and energies as one stacked product of every row with itself).
+Every reference value is the datum shifted by ``a t`` and cut to zero at
+``x <= 0``, the exact solution of the interval problem; the half-line
+window check keeps the support right of ``x = 0``, so the cut changes
+nothing there.  The reference values of
 a block are evaluated only from the first cell that the shifted support
 can reach; that cell comes from the datum's ``support_min`` and the zero
 gate, with a margin of one cell, and every cell left of it is exactly
+zero.  A cell average by Gauss quadrature (16 datum evaluations per cell)
+skips more: each level's own unreachable cells, by the same margin, are
+left out of one compressed run of quadrature over the block and stay
 zero.  The grid coordinates are built once per grid.  The interval runs,
 the half-line runs and ``error_metrics`` re-measuring recorded levels all
 measure through ``_measure_levels``, that is through ``reference_values``.
@@ -155,10 +160,10 @@ class PowerPlusDatum:
     def _plus_power(self, x, e: float):
         """``max(x - c, 0) ** e``, with the power taken only where the base
         is nonzero (a NaN base stays NaN); a scalar for a scalar ``x``."""
-        xx = np.maximum(np.asarray(x, dtype=float) - self.c, 0.0)
-        out = np.zeros(xx.shape)
-        np.power(xx, e, out=out, where=xx != 0.0)
-        return out if out.ndim else out[()]
+        xx = np.subtract(x, self.c, out=np.empty(np.shape(x)))
+        np.maximum(xx, 0.0, out=xx)
+        np.power(xx, e, out=xx, where=xx != 0.0)
+        return xx if xx.ndim else xx[()]
 
     def __call__(self, x):
         return self._plus_power(x, self.alpha)
@@ -182,9 +187,9 @@ class PowerPlusDatum:
 class CallableDatum:
     """Wrap an arbitrary vectorized profile ``fn``.
 
-    ``fn`` must be elementwise: the solvers call it on 2-D arrays (one row
-    per time level) and expect an array of the same shape back.  Cell
-    averages fall back to 16-point Gauss-Legendre quadrature per cell.
+    ``fn`` must be elementwise: the solvers call it on arrays of any shape
+    and expect an array of the same shape back.  Cell averages fall back
+    to 16-point Gauss-Legendre quadrature per cell.
     ``support_min`` (leftmost point of the support, finite) is needed by
     the half-line driver to validate window padding.  When it is given,
     ``fn`` must vanish left of it: the half-line window check relies on
@@ -233,28 +238,26 @@ def _gated(datum, xs):
     return np.where(xs > 0.0, datum(xs), 0.0)
 
 
-def _first_live_column(edges: np.ndarray, shift, lower: float) -> int:
-    """Number of leading cells on which the datum shifted by every entry
-    of ``shift`` vanishes, when it vanishes left of ``lower``.
+def _skip_edge(edges: np.ndarray, shift: np.ndarray,
+               lower: float) -> float | None:
+    """The shifted right edge at or left of which a cell is skipped, for
+    levels shifted by the entries of ``shift``, of a datum that vanishes
+    left of ``lower``; ``None`` when nothing may be skipped.
 
-    A cell is skipped when its right edge lies at least one cell width
-    left of ``lower + min(shift)``, so every point of the cell shifted
-    back lies about a cell left of ``lower``.  The rounding of the shifted
-    midpoints, edges and quadrature nodes is a few ulps of the largest
-    coordinate, far below that margin whenever ``2**-40`` of the
-    coordinates is below the cell width; otherwise nothing is skipped.
+    The edge is one cell width left of ``lower``: every point of a skipped
+    cell shifted back lies about a cell left of ``lower``.  The rounding
+    of the shifted midpoints, edges and quadrature nodes is a few ulps of
+    the largest coordinate, far below that margin whenever ``2**-40`` of
+    the coordinates is below the cell width; otherwise nothing is skipped.
     """
-    shift = np.asarray(shift)
     if shift.size == 0:
-        return 0
+        return None
     least, most = float(shift.min()), float(shift.max())
-    dx = edges[1]
-    target = lower + least - dx
-    scale = abs(lower) + max(-least, most) + edges[-1]
-    if not (math.isfinite(target) and scale * 2.0 ** -40 < dx):
-        return 0
-    # right edges at or left of the target; edges[0] = 0 is not one
-    return max(0, int(edges.searchsorted(target, side="right")) - 1)
+    dx = float(edges[1])
+    scale = abs(lower) + max(-least, most) + float(edges[-1])
+    if not scale * 2.0 ** -40 < dx:  # also refuses NaN and inf
+        return None
+    return lower - dx
 
 
 def reference_values(datum, grid: GridSpec, t, a: float,
@@ -265,9 +268,12 @@ def reference_values(datum, grid: GridSpec, t, a: float,
 
     ``t`` is one time, giving a length-``J`` array, or a 1-D array of
     times, giving one row per time.  The datum is evaluated only from the
-    first column its shifted support can reach (``_first_live_column``,
+    first column the shifted support of any row can reach (``_skip_edge``,
     from ``support_min`` and from 0); the cells left of it are ``0.0``.
-    The evaluated cells have the bits of a full-width evaluation.
+    The Gauss quadrature of a datum without a closed-form average, 16
+    evaluations per cell, skips more: each row's cells whose shifted right
+    edge lies at or left of the same skip edge are ``0.0`` too.  The
+    evaluated cells have the bits of a full-width evaluation.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -278,7 +284,12 @@ def reference_values(datum, grid: GridSpec, t, a: float,
     mids, edges = _grid_coordinates(grid.L, grid.J)
     lower = datum.support_min
     lower = 0.0 if lower is None else max(0.0, lower)
-    j0 = _first_live_column(edges, shift, lower)
+    skip = _skip_edge(edges, shift, lower)
+    j0 = 0
+    if skip is not None:
+        # the least shift skips the most cells; edges[0] = 0 is no right edge
+        least = float(shift.min())
+        j0 = max(0, int(edges.searchsorted(skip + least, side="right")) - 1)
     out = np.zeros(np.shape(shift)[:-1] + (grid.J,))
     if j0 == grid.J:
         return out
@@ -294,7 +305,10 @@ def reference_values(datum, grid: GridSpec, t, a: float,
         live[...] = ((F(np.maximum(hi, 0.0)) - F(np.maximum(lo, 0.0)))
                      / (hi - lo))
     else:
-        live[...] = _gauss_average(lambda xs: _gated(datum, xs), lo, hi)
+        # the cells each level reaches, compressed to one run of quadrature
+        reach = np.full(hi.shape, True) if skip is None else hi > skip
+        live[reach] = _gauss_average(lambda xs: _gated(datum, xs),
+                                     lo[reach], hi[reach])
     return out
 
 
@@ -313,6 +327,24 @@ def initial_state(datum, grid: GridSpec, stencil: SchemeStencil,
     return state
 
 
+def _stencil_kernel(coeffs: np.ndarray,
+                    ndim: int) -> Callable[[np.ndarray, np.ndarray], None]:
+    """The kernel ``(v, out)`` that ``_next_level`` applies to ``ndim``-D
+    levels of the stencil ``coeffs``, selected once for many levels."""
+    if ndim == 1 and len(coeffs) <= _CORRELATE_WIDTH:
+        def kernel(v: np.ndarray, out: np.ndarray) -> None:
+            out[:] = np.correlate(v, coeffs, "valid")
+        return kernel
+    terms = list(enumerate(coeffs.tolist()))
+
+    def kernel(v: np.ndarray, out: np.ndarray) -> None:
+        m = len(out)
+        out[:] = 0.0
+        for i, c in terms:
+            out += c * v[i:i + m]
+    return kernel
+
+
 def _next_level(coeffs: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
     """Write the stencil ``coeffs`` applied to the filled level ``v`` into
     ``out``: ``out[k] = sum_i coeffs[i] v[k + i]``, summed in order from
@@ -323,15 +355,9 @@ def _next_level(coeffs: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
     ``np.correlate``, whose per-cell BLAS dot sums short vectors in exactly
     that order; wider stencils and 2-D levels (one level per column, cells
     along axis 0) are applied by the loop itself, one multiply-add per
-    offset.
+    offset.  ``_stencil_kernel`` makes that choice once for a march.
     """
-    if v.ndim == 1 and len(coeffs) <= _CORRELATE_WIDTH:
-        out[:] = np.correlate(v, coeffs, "valid")
-        return
-    m = len(out)
-    out[:] = 0.0
-    for i, c in enumerate(coeffs):
-        out += c * v[i:i + m]
+    _stencil_kernel(coeffs, v.ndim)(v, out)
 
 
 def step(state: FieldState, stencil: SchemeStencil, bc: BoundarySpec,
@@ -359,8 +385,9 @@ def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
     ghosts) by ``N`` steps and return the last level's interior.
 
     The levels are the rows of one zeroed block buffer of at least two
-    rows; each new interior is written by ``_next_level`` straight into the
-    row after the current one, wrapping to the first row when the block is
+    rows, whose views are built once; each new interior is written by the
+    kernel of ``_next_level``, selected once, straight into the row after
+    the current one, wrapping to the first row when the block is
     full (and alternating between two rows when nothing observes them), so
     the inflow ghosts stay zero and no step allocates or copies a level.
     Before each step the outflow ghosts of the current row are filled, from
@@ -375,26 +402,32 @@ def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
     if N > 0 and end - r < kb:
         raise ValueError("grid too small for the requested boundary closure")
     weights = extrapolation_weights(kb)
-    coeffs = stencil.coeff_array
+    kernel = _stencil_kernel(stencil.coeff_array, 1)
     rows = 2
     if observe is not None:
         rows = max(2, min(N + 1, _BLOCK_ENTRIES // len(v)))
     block = np.zeros((rows, len(v)))
     block[0] = v
+    levels = list(block)
+    # the interior of the row each level's successor is written into
+    successors = [row[r:end] for row in levels[1:] + levels[:1]]
+    g = [None] * (N + 1) if sources is None else sources.tolist()
     k = n0 = 0  # row of level n, first level not yet observed
-    for n in range(N + 1):
-        level = block[k]
-        if n < N or fill_final:
-            _fill_outflow(level, end, weights,
-                          sources[n] if sources is not None else None)
-        else:
-            level[end:] = 0.0
-        if observe is not None and (k + 1 == rows or n == N):
-            observe(n0, block[:k + 1])
+    for n in range(N):
+        level = levels[k]
+        _fill_outflow(level, end, weights, g[n])
+        if k + 1 == rows and observe is not None:  # the block is full
+            observe(n0, block)
             n0 = n + 1
-        k = (k + 1) % rows
-        if n < N:
-            _next_level(coeffs, level, block[k, r:end])
+        kernel(level, successors[k])
+        k = k + 1 if k + 1 < rows else 0
+    level = levels[k]
+    if fill_final:
+        _fill_outflow(level, end, weights, g[N])
+    else:
+        level[end:] = 0.0
+    if observe is not None:
+        observe(n0, block[:k + 1])
     return level[r:end].copy()
 
 
@@ -409,8 +442,8 @@ def _block_errors(u: np.ndarray, ref: np.ndarray, dx: float,
     """l-infinity and l2 errors of the rows of ``u`` against ``ref``,
     written into ``linf`` and ``l2``; ``ref`` is overwritten."""
     err = np.subtract(u, ref, out=ref)
-    l2[:] = np.sqrt(dx * _row_dots(err))
-    linf[:] = np.max(np.abs(err, out=err), axis=1)
+    np.sqrt(dx * _row_dots(err), out=l2)
+    np.max(np.abs(err, out=err), axis=1, out=linf)
 
 
 def n_steps(T: float, dt: float) -> int:

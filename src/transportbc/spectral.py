@@ -4,9 +4,10 @@ Eliminating the ghost cells of the interval scheme turns one time step into
 a dense ``J x J`` matrix: banded Toeplitz in the interior, perturbed in the
 last rows where the outflow extrapolation folds ghost values back onto
 interior cells.  Its column ``k`` is one march step of the unit level
-``e_k``, built by the march's own ghost fill and stencil kernel, so the
-matrix is the stepper itself rather than a second derivation of it.  This
-module assembles that matrix and measures it: spectral radius, l2-induced
+``e_k``: the columns the outflow ghosts reach are built by the march's own
+ghost fill and stencil kernel, and the others are the band of coefficients
+that kernel sums to, so the matrix has the stepper's bits.  This module
+assembles that matrix and measures it: spectral radius, l2-induced
 norm, norms of matrix powers, and smallest-singular-value grids for
 pseudospectra.  The dense kernels are numpy's LAPACK; a LAPACK
 failure is raised as ConvergenceError.
@@ -77,10 +78,15 @@ def assemble_transition_matrix(J: int, stencil: SchemeStencil,
     """The one-step map of the march, one column per interior cell.
 
     Column ``k`` is one march step of the unit level ``e_k``, built by the
-    march's own ghost fill and stencil kernel: the identity sits in the
-    interior rows of one extended level, the inflow rows stay zero, the
-    outflow rows are filled by ``boundary._fill_outflow`` and
-    ``solver._next_level`` applies the stencil to all columns at once.
+    march's own ghost fill and stencil kernel.  Only the last ``kb``
+    columns reach the outflow ghosts: they are marched as they stand, the
+    identity in the interior rows of one extended level whose outflow rows
+    ``boundary._fill_outflow`` fills and to whose columns
+    ``solver._next_level`` applies the stencil at once.  In every other
+    column the march's sum from ``0.0`` meets one coefficient times 1 and
+    zeros, so those columns are the band of the coefficients (each plus
+    ``0.0``, which turns a ``-0.0`` into ``0.0``), cut at the matrix edges,
+    and ``0.0`` off it.
     """
     if kb < 0:
         raise ValueError("extrapolation order must be nonnegative")
@@ -90,11 +96,19 @@ def assemble_transition_matrix(J: int, stencil: SchemeStencil,
             f"J={J} cannot express the ghost closures in interior cells "
             f"(need J >= {max(r, p, kb) + 1})"
         )
-    ext = np.zeros((r + J + p, J))
-    ext[r:r + J] = np.eye(J)
-    _fill_outflow(ext, r + J, extrapolation_weights(kb), None)
-    A = np.empty((J, J))
-    _next_level(stencil.coeff_array, ext, A)
+    coeffs = stencil.coeff_array
+    A = np.zeros((J, J))
+    flat = A.reshape(-1)
+    for d, value in zip(range(-r, p + 1), (coeffs + 0.0).tolist()):
+        first = d if d >= 0 else -d * J  # the diagonal A[j, j + d]
+        flat[first:J * (J - max(d, 0)):J + 1] = value
+    c0 = J - kb  # the columns the outflow ghosts reach
+    if c0 < J:
+        k0 = max(0, c0 - p)  # their first nonzero row
+        ext = np.zeros((J + r + p - k0, kb))
+        ext[r + c0 - k0:r + J - k0] = np.eye(kb)
+        _fill_outflow(ext, len(ext) - p, extrapolation_weights(kb), None)
+        _next_level(coeffs, ext, A[k0:, c0:])
     return TransitionMatrix(J=J, entries=A)
 
 

@@ -858,9 +858,12 @@ def test_halfline_errors_are_norms_against_reference_values():
 
 
 def test_datum_is_evaluated_only_on_live_columns():
-    # every point where the datum is evaluated for a block of reference
-    # values lies at most a few cells left of its support, shifted by the
-    # block's smallest shift (a > 0: its first row)
+    # midpoint samples are taken on a block's live columns: every point lies
+    # at most a few cells left of the support shifted by the block's
+    # smallest shift (a > 0: its first row).  The Gauss quadrature of cell
+    # averages runs on each level's own live columns, the cells whose right
+    # edge shifted back by a t_n lies right of x0 - dx: exactly 16 points
+    # per such cell.
     x0 = 0.6
     calls = []
     bump = _bump(x0, 0.3)
@@ -879,22 +882,77 @@ def test_datum_is_evaluated_only_on_live_columns():
         assert firsts
         return min(float(np.min(x)) for x in firsts)
 
+    def points(run):
+        calls.clear()
+        run()
+        return sum(x.size for x in calls)
+
+    def quadrature_points(t):
+        # 16 nodes on each cell of each level whose right edge, shifted
+        # back, lies right of x0 - dx
+        shift = LW.velocity_a * np.asarray(t)[..., None]
+        return 16 * int(np.sum(grid.cell_edges[1:] - shift > x0 - grid.dx))
+
     floor = x0 - 3 * grid.dx
+    assert lowest_point(
+        lambda: reference_values(d, grid, times, 1.0, "midpoint"), 2) >= floor
+    assert lowest_point(
+        lambda: reference_values(d, grid, times[7], 1.0, "midpoint"), 1) \
+        >= floor
+    # fewer than on the block's columns, those of its first row
+    assert quadrature_points(times) < len(times) * quadrature_points(times[0])
+    for t in (times, times[7], times[:1]):
+        assert points(lambda: reference_values(d, grid, t, 1.0,
+                                               "cell_average")) \
+            == quadrature_points(t)
+    # the runs' 2-D calls are their per-block midpoint samples (the initial
+    # state is one 1-D call on the whole grid, 16 for cell averages)
+    assert lowest_point(
+        lambda: run_interval(d, grid, LW, BoundarySpec(1), 0.5,
+                             convention="midpoint"), 2) >= floor
+    run = run_interval(d, grid, LW, BoundarySpec(1), 0.5,
+                       convention="cell_average")
+    levels = np.arange(run.n_steps + 1) * grid.dt
+    assert points(lambda: run_interval(d, grid, LW, BoundarySpec(1), 0.5,
+                                       convention="cell_average")) \
+        == 16 * grid.J + quadrature_points(levels)
+    full = run_interval(d, grid, LW, BoundarySpec(1), 0.5,
+                        record="full_history", convention="midpoint")
+    assert points(lambda: error_metrics(full, convention="cell_average")) \
+        == quadrature_points(levels)
+    full = run_interval(d, grid, LW, BoundarySpec(1), 0.5,
+                        record="full_history", convention="cell_average")
+    assert lowest_point(
+        lambda: error_metrics(full, convention="midpoint"), 2) >= floor
+    assert lowest_point(
+        lambda: run_halfline_outflow(d, grid, LW, 1, 20,
+                                     convention="midpoint"), 2) >= floor
+    assert points(lambda: run_halfline_outflow(d, grid, LW, 1, 20,
+                                               convention="cell_average")) \
+        == 16 * grid.J + quadrature_points(np.arange(21) * grid.dt)
+
+
+def test_nothing_is_skipped_when_coordinates_dwarf_the_cell_width():
+    # shifted by -2**50 the coordinates are rounded to quarters, far coarser
+    # than the cell width 1/37: a one-cell margin would skip cells whose
+    # rounded points lie in the support, so the guard skips nothing, for the
+    # block's first live column and for each level's quadrature alike
+    big = 2.0 ** 50
+    grid = GridSpec(L=1.0, J=37, lam=0.7)
+    lower = big + 0.5
+    d = CallableDatum(lambda x: np.where(x >= lower, 1.0 + (x - lower), 0.0),
+                      support_min=lower)
+    times = big - 0.25 * np.arange(3)  # each level reaches fewer cells
+    _, edges = solver._grid_coordinates(grid.L, grid.J)
+    assert solver._skip_edge(edges, -times, lower) is None
+    # the cells of each level whose right edge, shifted back, lies a cell
+    # width left of the support: a margin without the guard would skip them
+    margin = grid.cell_edges[1:] + times[:, None] <= lower - grid.dx
     for conv in ("midpoint", "cell_average"):
-        assert lowest_point(
-            lambda: reference_values(d, grid, times, 1.0, conv), 2) >= floor
-        assert lowest_point(
-            lambda: reference_values(d, grid, times[7], 1.0, conv), 1) >= floor
-        # the runs' 2-D calls are their per-block reference values (the
-        # initial state is one 1-D call on the whole grid)
-        assert lowest_point(
-            lambda: run_interval(d, grid, LW, BoundarySpec(1), 0.5,
-                                 convention=conv), 2) >= floor
-        full = run_interval(d, grid, LW, BoundarySpec(1), 0.5,
-                            record="full_history", convention=conv)
-        other = "midpoint" if conv == "cell_average" else "cell_average"
-        assert lowest_point(
-            lambda: error_metrics(full, convention=other), 2) >= floor
-        assert lowest_point(
-            lambda: run_halfline_outflow(d, grid, LW, 1, 20,
-                                         convention=conv), 2) >= floor
+        want = _full_width_reference(d, grid, -times[:, None], conv)
+        assert (want * margin).any(axis=1).all()  # on every level
+        got = reference_values(d, grid, times, -1.0, conv)
+        assert _bits_equal(got, want), conv
+        for n in range(len(times)):
+            got = reference_values(d, grid, times[n], -1.0, conv)
+            assert _bits_equal(got, want[n]), (conv, n)
