@@ -10,28 +10,20 @@ exponents expose the boundary closure, and their orders settle in a
 strict sub-2 window that the second-order closure cannot beat.
 """
 
-import math
-
 from transportbc.scheme import make_builtin
-from transportbc.solver import (BoundarySpec, GridSpec, PowerPlusDatum,
-                                error_metrics, run_interval)
+from transportbc.solver import PowerPlusDatum, convergence_study
 
 J_LIST = [10, 20, 40, 80, 160, 320, 640, 1280]
 
 
 def table(alpha: float, kb: int) -> None:
     lw = make_builtin("lax-wendroff", a=1.0, lam=0.7)
-    datum = PowerPlusDatum(0.5, alpha)
     print(f"datum (x-0.5)_+^{alpha}, outflow extrapolation order kb={kb}")
     print(f"{'J':>6} {'sup error':>16} {'order':>8}")
-    prev = None
-    for J in J_LIST:
-        grid = GridSpec(L=1.0, J=J, lam=0.7)
-        run = run_interval(datum, grid, lw, BoundarySpec(kb), 0.5)
-        err = error_metrics(run).linf_sup
-        order = "" if prev is None else f"{math.log2(prev / err):8.4f}"
-        print(f"{J:>6} {err:>16.10e} {order:>8}")
-        prev = err
+    for i, row in enumerate(convergence_study(PowerPlusDatum(0.5, alpha), lw,
+                                              kb, J_LIST, 0.5)):
+        order = "" if i == 0 else f"{row.observed_order:8.4f}"
+        print(f"{row.J:>6} {row.error_sup:>16.10e} {order:>8}")
     print()
 
 

@@ -15,8 +15,8 @@ one may consume those already filled.  The closure is written once: the
 integer weights of ``extrapolation_weights`` and the left-to-right recursion
 of ``_fill_outflow`` that applies them.  The ghost fill here, the solver's
 time march and the transition-matrix assembly (which fills the ghosts of
-the unit levels that reach them at once, one per column) all run that one
-recursion.
+all unit levels at once, one per column) all run that one recursion.
+``extrapolation_weights`` is also where every closure's order is checked.
 """
 from __future__ import annotations
 
@@ -37,14 +37,18 @@ class BoundarySpec:
     outflow_order_kb: int
 
     def __post_init__(self) -> None:
-        try:
-            kb = operator.index(self.outflow_order_kb)
-        except TypeError:
-            raise ValueError("extrapolation order k_b must be an integer, "
-                             f"got {self.outflow_order_kb!r}") from None
-        if kb < 0:
-            raise ValueError("extrapolation order k_b must be nonnegative")
+        kb = _integer(self.outflow_order_kb, "extrapolation order k_b")
+        extrapolation_weights(kb)  # refuses a negative order
         object.__setattr__(self, "outflow_order_kb", kb)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int`` (``operator.index``); a ValueError naming
+    ``name`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def extrapolation_weights(kb: int) -> tuple[int, ...]:
@@ -52,7 +56,10 @@ def extrapolation_weights(kb: int) -> tuple[int, ...]:
 
     They close the outflow: ``u_{J+ell} = g_{J+ell} + sum_m w_m u_{J+ell-m}``
     makes the ``kb``-th backward difference at ``J+ell`` equal ``g_{J+ell}``.
+    Every outflow closure takes its weights here, so this is where ``kb``
+    is checked.
     """
+    kb = _integer(kb, "extrapolation order k_b")
     if kb < 0:
         raise ValueError("extrapolation order k_b must be nonnegative")
     return tuple(math.comb(kb, m) * (-1) ** (m + 1) for m in range(1, kb + 1))

@@ -23,7 +23,7 @@ from .scheme import (BUILTIN_SCHEMES, SchemeStencil, check_l2_stability,
                      consistency_order, format_stencil, make_builtin,
                      parse_stencil)
 from .solver import (GridSpec, PowerPlusDatum, _row_dots, convergence_study,
-                     n_steps, reference_values, run_interval)
+                     reference_values, run_interval)
 from .spectral import (ConvergenceError, assemble_transition_matrix,
                        operator_norm_l2, pseudospectrum_grid,
                        radius_condition, spectral_radius)
@@ -165,14 +165,12 @@ def cmd_run(args) -> int:
         raise ValueError("run needs --J")
     grid = GridSpec(L=args.L, J=args.J, lam=stencil.lam)
     kbs = _distinct("--kb", args.kb)
-    N = n_steps(args.T, grid.dt)
-    t_final = N * grid.dt
     numeric = {}
     for kb in kbs:
         run = run_interval(datum, grid, stencil, BoundarySpec(kb), args.T,
                            record="final", convention=args.convention)
         numeric[kb] = run.final_state
-    exact = reference_values(datum, grid, t_final, stencil.velocity_a,
+    exact = reference_values(datum, grid, run.t_final, stencil.velocity_a,
                              args.convention)
     x_mid = grid.cell_midpoints
     single = len(kbs) == 1
@@ -189,7 +187,8 @@ def cmd_run(args) -> int:
         rows.append(tuple(row))
     header = _config_header(
         args, stencil, L=args.L, J=args.J, kb=",".join(map(str, kbs)),
-        T=args.T, n_steps=N, t_final=repr(t_final), datum=args.datum,
+        T=args.T, n_steps=run.n_steps, t_final=repr(run.t_final),
+        datum=args.datum,
         convention=args.convention,
     )
     _emit(args, _csv_lines(header, columns, rows))

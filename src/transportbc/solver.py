@@ -40,11 +40,13 @@ gate, with a margin of one cell, and every cell left of it is exactly
 zero.  A cell average by Gauss quadrature (16 datum evaluations per cell)
 skips more: each level's own unreachable cells, by the same margin, are
 left out of one compressed run of quadrature over the block and stay
-zero.  The grid coordinates are built once per grid.  The interval runs,
-the half-line runs and ``error_metrics`` re-measuring recorded levels all
-measure through ``_measure_levels``, that is through ``reference_values``.
-The arithmetic of every level and every norm is the one a loop of
-``step`` calls would do, so the results do not depend on the block size.
+zero.  A run's initial cell averages are the reference values at
+``t = 0``, so they skip the same cells.  The grid coordinates are built
+once per grid.  The interval runs, the half-line runs and
+``error_metrics`` re-measuring recorded levels all measure through
+``_measure_levels``, that is through ``reference_values``.  The
+arithmetic of every level and every norm is the one a loop of ``step``
+calls would do, so the results do not depend on the block size.
 The power datum is raised to its power only on its support, where the
 base is nonzero, and its gated cell averages are closed-form.  Run
 results are plain arrays of level interiors; a ``FieldState`` (a level
@@ -57,15 +59,15 @@ statistic; both statistics are always emitted so the choice stays visible.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .boundary import (BoundarySpec, _fill_outflow, extrapolation_weights,
-                       fill_inflow_ghosts, fill_outflow_ghosts)
+from .boundary import (BoundarySpec, _fill_outflow, _integer,
+                       extrapolation_weights, fill_inflow_ghosts,
+                       fill_outflow_ghosts)
 from .scheme import SchemeStencil
 from .state import FieldState
 
@@ -98,11 +100,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (self.L > 0 and math.isfinite(self.L)):
             raise ValueError("interval length must be positive and finite")
-        try:
-            J = operator.index(self.J)
-        except TypeError:
-            raise ValueError(f"cell count must be an integer, got {self.J!r}"
-                             ) from None
+        J = _integer(self.J, "cell count J")
         if J < 1:
             raise ValueError("cell count must be positive")
         object.__setattr__(self, "J", J)
@@ -193,8 +191,9 @@ class CallableDatum:
     ``support_min`` (leftmost point of the support, finite) is needed by
     the half-line driver to validate window padding.  When it is given,
     ``fn`` must vanish left of it: the half-line window check relies on
-    that, and reference values are not evaluated on cells the shifted
-    support cannot reach (they are taken as ``0.0``).
+    that, and reference values, a run's initial cell averages among them,
+    are not evaluated on cells the shifted support cannot reach (they are
+    taken as ``0.0``).
     """
 
     def __init__(self, fn: Callable, support_min: float | None = None) -> None:
@@ -315,15 +314,18 @@ def reference_values(datum, grid: GridSpec, t, a: float,
 def initial_state(datum, grid: GridSpec, stencil: SchemeStencil,
                   convention: str = "midpoint") -> FieldState:
     """Initial state (ghosts zero) holding midpoint samples of the datum
-    (``"midpoint"``) or its exact cell averages (``"cell_average"``)."""
+    (``"midpoint"``) or its exact cell averages (``"cell_average"``).
+
+    The cell averages are the reference values at ``t = 0``, so their
+    quadrature skips the cells the support cannot reach, as at every later
+    level; the midpoint samples are the datum's own, signed zeros
+    included."""
     state = FieldState(J=grid.J, r=stencil.r, p=stencil.p, time_index=0)
     if convention == "midpoint":
         state.interior[:] = datum(grid.cell_midpoints)
-    elif convention == "cell_average":
-        state.interior[:] = datum.cell_average(grid.cell_edges[:-1],
-                                               grid.cell_edges[1:])
     else:
-        raise ValueError(f"unknown convention {convention!r}")
+        state.interior[:] = reference_values(datum, grid, 0.0,
+                                             stencil.velocity_a, convention)
     return state
 
 
@@ -367,8 +369,6 @@ def step(state: FieldState, stencil: SchemeStencil, bc: BoundarySpec,
     The input state's ghost slots are refreshed in place as a side effect;
     the interior is untouched and a new state is returned.
     """
-    if state.J < max(1, bc.outflow_order_kb):
-        raise ValueError("grid too small for the requested boundary closure")
     fill_inflow_ghosts(state)
     fill_outflow_ghosts(state, bc.outflow_order_kb, sources)
     new = FieldState(J=state.J, r=state.r, p=state.p,
@@ -379,8 +379,7 @@ def step(state: FieldState, stencil: SchemeStencil, bc: BoundarySpec,
 
 def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
            observe: Callable[[int, np.ndarray], None] | None = None,
-           sources: np.ndarray | None = None,
-           fill_final: bool = False) -> np.ndarray:
+           sources: np.ndarray | None = None) -> np.ndarray:
     """Advance the level array ``v`` (cells ``1-r..J+p``, zero inflow
     ghosts) by ``N`` steps and return the last level's interior.
 
@@ -390,18 +389,18 @@ def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
     the current one, wrapping to the first row when the block is
     full (and alternating between two rows when nothing observes them), so
     the inflow ghosts stay zero and no step allocates or copies a level.
-    Before each step the outflow ghosts of the current row are filled, from
-    ``sources[n]`` at level ``n`` when given; the last level's ghosts are
-    filled only with ``fill_final`` and are zero otherwise.
+    The outflow ghosts of every level, the last one included, are filled
+    in its row (before the step that reads them), from ``sources[n]`` at
+    level ``n`` when given.
     ``observe(n0, levels)`` receives the rows of levels ``n0, n0+1, ...``
     (ghosts as filled) in blocks of at most ``_BLOCK_ENTRIES`` cells,
     before those rows are overwritten.
     """
     r, p = stencil.r, stencil.p
     end = len(v) - p  # array position of the first outflow ghost
-    if N > 0 and end - r < kb:
-        raise ValueError("grid too small for the requested boundary closure")
     weights = extrapolation_weights(kb)
+    if end - r < kb:  # every level's ghosts are filled, the last one too
+        raise ValueError("grid too small for the requested boundary closure")
     kernel = _stencil_kernel(stencil.coeff_array, 1)
     rows = 2
     if observe is not None:
@@ -422,10 +421,7 @@ def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
         kernel(level, successors[k])
         k = k + 1 if k + 1 < rows else 0
     level = levels[k]
-    if fill_final:
-        _fill_outflow(level, end, weights, g[N])
-    else:
-        level[end:] = 0.0
+    _fill_outflow(level, end, weights, g[N])
     if observe is not None:
         observe(n0, block[:k + 1])
     return level[r:end].copy()
@@ -648,9 +644,10 @@ def consistency_error_field(datum, grid: GridSpec, stencil: SchemeStencil,
     ``j = window[0] .. window[1]`` inclusive.  ``grid.lam`` must equal
     ``stencil.lam``.
     """
+    n = _integer(n, "time index n")
     if n < 1:
         raise ValueError("time index must be at least 1")
-    j_lo, j_hi = window
+    j_lo, j_hi = (_integer(j, "window") for j in window)
     if j_hi < j_lo:
         raise ValueError("empty index window")
     _check_ratio(grid, stencil)
@@ -710,6 +707,8 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
     rounding), so the zero gate there cuts off nothing.  ``grid.lam`` must
     equal ``stencil.lam``.
     """
+    extrapolation_weights(kb)  # refuses a non-integer or negative order
+    steps = _integer(steps, "steps")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if convention not in CONVENTIONS:
@@ -757,7 +756,7 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
                         linf_hist[n0:n1], l2_hist[n0:n1])
 
     final = _march(state.values, stencil, kb, steps, observe,
-                   sources=sources, fill_final=True)
+                   sources=sources)
     return HalflineResult(grid=grid, stencil=stencil, kb=kb, steps=steps,
                           convention=convention, final_state=final,
                           initial_interior=f0, traces=traces, masses=masses,
@@ -791,7 +790,7 @@ def stability_functional_ratio(run: HalflineResult,
     w = np.exp(-2.0 * gamma * n * dt)
     lhs = float(np.max(w * run.energies))
     lhs += dt * float(np.sum(w * np.sum(run.traces ** 2, axis=1)))
-    rhs = run.grid.dx * float(np.dot(run.initial_interior, run.initial_interior))
+    rhs = float(run.energies[0])
     if run.sources is not None and run.stencil.p > 0:
         rhs += dt * float(np.sum(w * np.sum(run.sources ** 2, axis=1)))
     if rhs == 0.0:

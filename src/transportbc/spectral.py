@@ -4,9 +4,8 @@ Eliminating the ghost cells of the interval scheme turns one time step into
 a dense ``J x J`` matrix: banded Toeplitz in the interior, perturbed in the
 last rows where the outflow extrapolation folds ghost values back onto
 interior cells.  Its column ``k`` is one march step of the unit level
-``e_k``: the columns the outflow ghosts reach are built by the march's own
-ghost fill and stencil kernel, and the others are the band of coefficients
-that kernel sums to, so the matrix has the stepper's bits.  This module
+``e_k``, all columns at once through the march's own ghost fill and
+stencil kernel, so the matrix has the stepper's bits.  This module
 assembles that matrix and measures it: spectral radius, l2-induced
 norm, norms of matrix powers, and smallest-singular-value grids for
 pseudospectra.  The dense kernels are numpy's LAPACK; a LAPACK
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _fill_outflow, extrapolation_weights
+from .boundary import _fill_outflow, _integer, extrapolation_weights
 from .scheme import SchemeStencil
 from .solver import _next_level
 
@@ -77,38 +76,25 @@ def assemble_transition_matrix(J: int, stencil: SchemeStencil,
                                kb: int) -> TransitionMatrix:
     """The one-step map of the march, one column per interior cell.
 
-    Column ``k`` is one march step of the unit level ``e_k``, built by the
-    march's own ghost fill and stencil kernel.  Only the last ``kb``
-    columns reach the outflow ghosts: they are marched as they stand, the
-    identity in the interior rows of one extended level whose outflow rows
-    ``boundary._fill_outflow`` fills and to whose columns
-    ``solver._next_level`` applies the stencil at once.  In every other
-    column the march's sum from ``0.0`` meets one coefficient times 1 and
-    zeros, so those columns are the band of the coefficients (each plus
-    ``0.0``, which turns a ``-0.0`` into ``0.0``), cut at the matrix edges,
-    and ``0.0`` off it.
+    Column ``k`` is one march step of the unit level ``e_k``: the identity
+    sits in the interior rows of one zeroed level of ``r + J + p`` rows,
+    ``boundary._fill_outflow`` fills its outflow rows and
+    ``solver._next_level`` applies the stencil to all its columns at once,
+    so every entry has the bits of the march.
     """
-    if kb < 0:
-        raise ValueError("extrapolation order must be nonnegative")
+    weights = extrapolation_weights(kb)
+    J = _integer(J, "cell count J")
     r, p = stencil.r, stencil.p
     if J < max(r, p, kb) + 1:
         raise ValueError(
             f"J={J} cannot express the ghost closures in interior cells "
             f"(need J >= {max(r, p, kb) + 1})"
         )
-    coeffs = stencil.coeff_array
-    A = np.zeros((J, J))
-    flat = A.reshape(-1)
-    for d, value in zip(range(-r, p + 1), (coeffs + 0.0).tolist()):
-        first = d if d >= 0 else -d * J  # the diagonal A[j, j + d]
-        flat[first:J * (J - max(d, 0)):J + 1] = value
-    c0 = J - kb  # the columns the outflow ghosts reach
-    if c0 < J:
-        k0 = max(0, c0 - p)  # their first nonzero row
-        ext = np.zeros((J + r + p - k0, kb))
-        ext[r + c0 - k0:r + J - k0] = np.eye(kb)
-        _fill_outflow(ext, len(ext) - p, extrapolation_weights(kb), None)
-        _next_level(coeffs, ext, A[k0:, c0:])
+    level = np.zeros((r + J + p, J))
+    level[r:r + J] = np.eye(J)
+    _fill_outflow(level, r + J, weights, None)
+    A = np.empty((J, J))
+    _next_level(stencil.coeff_array, level, A)
     return TransitionMatrix(J=J, entries=A)
 
 
@@ -279,6 +265,7 @@ def power_norm_envelope(matrix, n_max: int,
     """
     A = _entries(matrix)
     n = A.shape[0]
+    n_max = _integer(n_max, "n_max")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max * float(n) ** 3 > ENVELOPE_BUDGET:
@@ -310,6 +297,7 @@ def pseudospectrum_grid(matrix, re_range: tuple[float, float] = (-1.5, 1.5),
     ``_STACK_ENTRIES`` complex entries, so memory stays bounded at large
     ``J`` and ``resolution``.
     """
+    resolution = _integer(resolution, "resolution")
     if not 1 <= resolution <= 512:
         raise ValueError("resolution must be between 1 and 512 per axis")
     A = _entries(matrix)

@@ -3,7 +3,7 @@ import inspect
 import pytest
 
 import transportbc
-from transportbc import energy, spectral
+from transportbc import energy, solver, spectral
 
 
 def test_every_export_resolves():
@@ -35,7 +35,8 @@ def test_removed_names_are_gone(module, names):
 @pytest.mark.parametrize("function, parameter", [
     (energy.verify_energy_balance, "strict"),
     (spectral.power_norm_envelope, "budget"),
-], ids=["strict", "budget"])
+    (solver._march, "fill_final"),
+], ids=["strict", "budget", "fill_final"])
 def test_removed_parameters_are_gone(function, parameter):
     assert parameter not in inspect.signature(function).parameters
 

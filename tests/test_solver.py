@@ -5,10 +5,12 @@ import pytest
 
 from transportbc import (BoundarySpec, CallableDatum, FieldState, GridSpec,
                          PowerPlusDatum, SchemeStencil,
+                         assemble_transition_matrix,
                          consistency_error_field, convergence_study,
                          error_metrics, fill_inflow_ghosts,
                          fill_outflow_ghosts, initial_state, make_builtin,
-                         n_steps, reference_values, run_halfline_outflow,
+                         n_steps, power_norm_envelope, pseudospectrum_grid,
+                         reference_values, run_halfline_outflow,
                          run_interval, solver, stability_functional_ratio,
                          step)
 
@@ -231,6 +233,30 @@ def test_step_matches_scalar_oracle():
         assert state.time_index == steps
 
 
+_KINK = PowerPlusDatum(0.55, 2.5)
+_GRID40 = GridSpec(L=1.0, J=40, lam=LW.lam)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: run_halfline_outflow(_KINK, _GRID40, LW, 1.5, 5), "k_b"),
+    (lambda: run_halfline_outflow(_KINK, _GRID40, LW, 1, 2.5), "steps"),
+    (lambda: assemble_transition_matrix(10.0, LW, 1), "cell count J"),
+    (lambda: assemble_transition_matrix(10, LW, 1.5), "k_b"),
+    (lambda: fill_outflow_ghosts(FieldState(J=5, r=1, p=1), 1.5), "k_b"),
+    (lambda: power_norm_envelope(np.eye(3), 2.5), "n_max"),
+    (lambda: pseudospectrum_grid(np.eye(3), resolution=2.5), "resolution"),
+    (lambda: consistency_error_field(_KINK, _GRID40, LW, n=1.5,
+                                     window=(21, 23)), "time index n"),
+    (lambda: consistency_error_field(_KINK, _GRID40, LW, n=1,
+                                     window=(21, 23.0)), "window"),
+], ids=["halfline_kb", "halfline_steps", "matrix_J", "matrix_kb",
+        "ghosts_kb", "envelope_n_max", "pseudospectrum_resolution",
+        "consistency_n", "consistency_window"])
+def test_non_integer_counts_are_refused(call, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call()
+
+
 def test_step_rejects_too_small_grid():
     st = make_builtin("lax_wendroff", 1.0, 0.7)
     state = FieldState(J=1, r=1, p=1)
@@ -405,6 +431,17 @@ def test_halfline_diagnostics_match_direct_sums():
     ref = d.cell_average(grid.cell_edges[:-1] - t, grid.cell_edges[1:] - t)
     assert res.linf_history[-1] == pytest.approx(
         float(np.max(np.abs(u_end - ref))))
+
+
+def test_runs_reject_grids_smaller_than_the_closure():
+    # the march fills the outflow ghosts of every level, the last one of a
+    # zero-step run included, so a zero-step run is refused like any other
+    d = PowerPlusDatum(0.5, 2.5)
+    for J, kb in ((1, 6), (2, 3)):
+        for T in (0.0, 0.1):
+            with pytest.raises(ValueError, match="grid too small"):
+                run_interval(d, GridSpec(1.0, J, LW.lam), LW,
+                             BoundarySpec(kb), T)
 
 
 def test_halfline_small_case_matches_scalar_oracle():
@@ -833,6 +870,22 @@ def test_live_columns_match_full_width_evaluation(monkeypatch, entries):
                 assert np.array_equal(res.l2_history, l2), case
 
 
+def test_initial_cell_averages_are_the_datum_cell_averages():
+    # the initial state takes its cell averages from the gated reference
+    # values at t = 0, which skip the unreachable cells; they keep the bits
+    # of the datum's own averages, signed zeros included
+    signed_zero = CallableDatum(
+        lambda x: np.where(x > 0.5, np.sin(4.0 * (x - 0.5)), -0.0),
+        support_min=0.5)
+    for J in (37, 160):
+        grid = GridSpec(L=1.0, J=J, lam=LW.lam)
+        edges = grid.cell_edges
+        for d in LIVE_DATA + [signed_zero]:
+            got = initial_state(d, grid, LW, "cell_average").interior
+            assert _bits_equal(got, d.cell_average(edges[:-1], edges[1:])), \
+                (J, d)
+
+
 def test_halfline_errors_are_norms_against_reference_values():
     # at a != 1 the half-line levels are measured as the interval's are:
     # against the gated reference_values at t = n * dt, bit for bit
@@ -906,7 +959,8 @@ def test_datum_is_evaluated_only_on_live_columns():
                                                "cell_average")) \
             == quadrature_points(t)
     # the runs' 2-D calls are their per-block midpoint samples (the initial
-    # state is one 1-D call on the whole grid, 16 for cell averages)
+    # midpoint state is one 1-D call on the whole grid); initial cell
+    # averages are the reference values at t = 0, on their live columns
     assert lowest_point(
         lambda: run_interval(d, grid, LW, BoundarySpec(1), 0.5,
                              convention="midpoint"), 2) >= floor
@@ -915,7 +969,7 @@ def test_datum_is_evaluated_only_on_live_columns():
     levels = np.arange(run.n_steps + 1) * grid.dt
     assert points(lambda: run_interval(d, grid, LW, BoundarySpec(1), 0.5,
                                        convention="cell_average")) \
-        == 16 * grid.J + quadrature_points(levels)
+        == quadrature_points(levels) + quadrature_points(0.0)
     full = run_interval(d, grid, LW, BoundarySpec(1), 0.5,
                         record="full_history", convention="midpoint")
     assert points(lambda: error_metrics(full, convention="cell_average")) \
@@ -929,7 +983,8 @@ def test_datum_is_evaluated_only_on_live_columns():
                                      convention="midpoint"), 2) >= floor
     assert points(lambda: run_halfline_outflow(d, grid, LW, 1, 20,
                                                convention="cell_average")) \
-        == 16 * grid.J + quadrature_points(np.arange(21) * grid.dt)
+        == quadrature_points(np.arange(21) * grid.dt) \
+        + quadrature_points(0.0)
 
 
 def test_nothing_is_skipped_when_coordinates_dwarf_the_cell_width():
