@@ -7,8 +7,7 @@ symbol diagnostics, the summation-by-parts energy split, transition-matrix
 spectra, and refinement studies.
 """
 from .boundary import BoundarySpec, fill_inflow_ghosts, fill_outflow_ghosts
-from .energy import (BoundaryForm, dissipation_and_boundary_form,
-                     verify_energy_balance)
+from .energy import dissipation_and_boundary_form, verify_energy_balance
 from .rng import Xoshiro256StarStar
 from .scheme import (BUILTIN_SCHEMES, ConsistencyReport, SchemeStencil,
                      StabilityResult, check_l2_stability, consistency_order,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUILTIN_SCHEMES",
-    "BoundaryForm",
     "BoundarySpec",
     "CallableDatum",
     "ConsistencyReport",

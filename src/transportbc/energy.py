@@ -13,9 +13,9 @@ the ``k``-th diagonal of ``S``, and ``T`` holds the partial sums along the
 same diagonals, so no linear system is solved.  Summing the stencil form
 over all cells telescopes the ``T`` terms away and leaves the dissipation
 functional ``sum_k d_k sum_j (v_{j+k-r} - v_{j-r})^2``, which is
-nonpositive exactly when the stencil is l2-stable.  Rewriting ``T`` in
-difference coordinates centered at the stencil origin produces the
-boundary form ``Q`` whose value on the center direction is ``-lambda a``.
+nonpositive exactly when the stencil is l2-stable.  ``T`` itself is the
+boundary form: its value on a constant window, the sum of its entries, is
+``-lambda a``.
 
 The balance itself is computed by one row kernel, ``_balance_rows``, for a
 batch of equal-length sequences at once; ``verify_energy_balance`` is that
@@ -26,30 +26,12 @@ batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .scheme import SchemeStencil, check_l2_stability, consistency_order
 from .solver import _next_level
-
-
-@dataclass
-class BoundaryForm:
-    """Quadratic form in difference coordinates
-    ``(v_{2-r}-v_{1-r}, ..., v_0-v_{-1}, v_0, v_1-v_0, ..., v_p-v_{p-1})``."""
-
-    Q: np.ndarray
-    r: int
-
-    def __call__(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(z @ self.Q @ z)
-
-    def center_value(self) -> float:
-        """Value on the center direction (the lone undifferenced slot)."""
-        return float(self.Q[self.r - 1, self.r - 1])
 
 
 def _energy_split(stencil: SchemeStencil) -> tuple[np.ndarray, np.ndarray]:
@@ -84,29 +66,17 @@ def _energy_split(stencil: SchemeStencil) -> tuple[np.ndarray, np.ndarray]:
     return d, T
 
 
-def _difference_coordinates_inverse(r: int, p: int) -> np.ndarray:
-    """Inverse of ``y -> z``, ``z_i = y_{i+1}-y_i (i<r), y_r (i=r),
-    y_i-y_{i-1} (i>r)`` on R^{p+r}; entries are 0 and +-1."""
-    n = p + r
-    Minv = np.zeros((n, n))
-    for i in range(1, n + 1):  # 1-based coordinates
-        Minv[i - 1, r - 1] = 1.0
-        if i > r:
-            Minv[i - 1, r:i] = 1.0
-        elif i < r:
-            Minv[i - 1, i - 1:r - 1] = -1.0
-    return Minv
-
-
 def dissipation_and_boundary_form(
-        stencil: SchemeStencil) -> tuple[np.ndarray, BoundaryForm]:
-    """Dissipation coefficients ``d_1..d_{p+r}`` and boundary form ``Q``.
+        stencil: SchemeStencil) -> tuple[np.ndarray, np.ndarray]:
+    """Dissipation coefficients ``d_1..d_{p+r}`` and boundary form ``T``.
 
-    ``Q`` is the reduced form ``T`` of the split conjugated into the
-    difference coordinates; its value on the center direction must come out
-    as ``-lambda a`` (asserted), which is what makes the boundary term in
-    the summed energy balance strictly damping.  The stencil must be
-    first-order consistent and reach a left neighbour (``r >= 1``).
+    ``T`` is the reduced form of the split, an ``(r+p, r+p)`` symmetric
+    array acting on a window of ``r + p`` consecutive cells.  Its value on a
+    constant window, ``1^T T 1``, must come out as ``-lambda a`` (asserted,
+    summed exactly rounded by ``math.fsum``), which is what makes the
+    boundary term in the summed energy balance strictly damping.  The
+    stencil must be first-order consistent and reach a left neighbour
+    (``r >= 1``).
     """
     report = consistency_order(stencil)
     if report.order < 1:
@@ -117,17 +87,14 @@ def dissipation_and_boundary_form(
         raise ValueError("boundary form needs r >= 1: without a left "
                          "neighbour there is no center direction")
     d, T = _energy_split(stencil)
-    Minv = _difference_coordinates_inverse(stencil.r, stencil.p)
-    Q = Minv.T @ T @ Minv
-    Q = 0.5 * (Q + Q.T)  # re-symmetrize exactly after the two products
     la = stencil.lam * stencil.velocity_a
-    center = Q[stencil.r - 1, stencil.r - 1]
+    center = math.fsum(T.ravel())
     if abs(center + la) > 1e-12 * max(1.0, la):
         raise AssertionError(
             f"boundary form center value {center:.17g} differs from "
             f"-lambda*a = {-la:.17g}"
         )
-    return d, BoundaryForm(Q=Q, r=stencil.r)
+    return d, T
 
 
 @lru_cache(maxsize=128)

@@ -342,8 +342,10 @@ def _stencil_kernel(coeffs: np.ndarray,
     def kernel(v: np.ndarray, out: np.ndarray) -> None:
         m = len(out)
         out[:] = 0.0
+        tmp = np.empty_like(out)
         for i, c in terms:
-            out += c * v[i:i + m]
+            np.multiply(v[i:i + m], c, out=tmp)
+            out += tmp
     return kernel
 
 

@@ -26,7 +26,6 @@ so a radius that has stopped converging is labelled rather than hidden.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,36 +116,6 @@ def _lapack(what: str, solver, *args, **kwargs):
         raise ConvergenceError(f"{what} failed: {exc}") from exc
 
 
-def _log_rho(lags: np.ndarray, q: np.ndarray, lo: float, hi: float) -> float:
-    """The minimizer ``t`` in ``[lo, hi]`` of ``sum_l exp(q_l + 2 l t)``.
-
-    The sum is convex in ``t``; its derivative (halved) is increasing and
-    changes sign in the bracket, so Newton steps that leave the shrinking
-    bracket are replaced by bisection.  A band has a handful of offsets, so
-    the sums run over Python floats.
-    """
-    terms = list(zip(lags.tolist(), q.tolist()))
-    lo, hi, t = float(lo), float(hi), 0.0
-    for _ in range(200):
-        g = dg = 0.0
-        for lag, q_lag in terms:
-            w = lag * math.exp(q_lag + 2 * lag * t)
-            g += w
-            dg += 2 * lag * w
-        if g == 0.0:
-            return t
-        if g > 0.0:
-            hi = t
-        else:
-            lo = t
-        step = t - g / dg
-        t_next = step if lo < step < hi else 0.5 * (lo + hi)
-        if abs(t_next - t) <= 1e-15 * (1.0 + abs(t)):
-            return t_next
-        t = t_next
-    return t
-
-
 def _balanced(A: np.ndarray) -> np.ndarray | None:
     """The diagonally similar copy ``D^-1 A D``, ``D = diag(rho^j)``, of
     least Frobenius norm; None if ``A`` has no nonzero entry on one side of
@@ -156,10 +125,14 @@ def _balanced(A: np.ndarray) -> np.ndarray | None:
     norm is ``sum_l s_l rho^(2 l)`` over the sums ``s_l`` of squared entries
     on each offset: convex in ``log rho`` (Schmidt & Spitzer, Math. Scand. 8,
     1960).  For a tridiagonal Toeplitz band it gives the off-diagonal pairs
-    one modulus.  Every term is at most ``||A||_F^2`` at the minimizer (the
-    value at ``rho = 1``), which brackets ``log rho`` and bounds every scaled
-    entry by ``||A||_F``; only the nonzero entries are scaled, and in logs,
-    so nothing overflows even where ``rho^J`` would.
+    one modulus.  ``log rho`` is the one positive root of a polynomial of
+    degree ``max lag - min lag``, taken from one companion eigensolve and
+    polished by one Newton step.  Only the nonzero entries are scaled, and
+    in logs, and the polynomial is written about the point where the
+    largest terms of each sign meet, scaled to a largest coefficient of
+    one lag, so nothing underflows or overflows even where ``s_l`` or
+    ``rho^J`` would; every scaled entry is at most ``||A||_F``, the norm at
+    ``rho = 1``.
     """
     i, k = np.nonzero(A)
     lag = k - i
@@ -169,12 +142,31 @@ def _balanced(A: np.ndarray) -> np.ndarray | None:
     log_a = np.log(np.abs(a))
     order = np.argsort(lag, kind="stable")
     lags, first = np.unique(lag[order], return_index=True)
-    # log of each offset's share in ||A||_F^2, summed without overflow
+    # log of each offset's sum of squares; the diagonal's is constant in rho
     log_s = np.logaddexp.reduceat(2 * log_a[order], first)
-    q = log_s - np.logaddexp.reduce(log_s)
+    lags, log_s = lags[lags != 0], log_s[lags != 0]
     below, above = lags < 0, lags > 0
-    t = _log_rho(lags, q, np.max(-q[below] / (2 * lags[below])),
-                 np.min(-q[above] / (2 * lags[above])))
+    # c, where the largest term s_l exp(2 l t) of each sign of l meet, is
+    # within log J of the minimizer t = log rho
+    c = np.min(np.max((log_s[below] - log_s[above, None])
+                      / (2 * (lags[above, None] - lags[below])), axis=1))
+    # t solves sum_l l s_l exp(2 l t) = 0; with x = exp(2 (t - c)) and times
+    # x^-min(lag) that is a polynomial whose coefficients change sign once
+    # (negative lags, then positive), so by Descartes' rule of signs it has
+    # exactly one positive root: the companion eigenvalue nearest the
+    # positive real axis.  The largest coefficients are at least 1; those
+    # below eps are dropped, since they would only add roots far from 1.
+    e = log_s + 2 * lags * c
+    coeffs = np.zeros(lags[-1] - lags[0] + 1)
+    coeffs[lags[-1] - lags] = lags * np.exp(e - np.max(e))
+    coeffs[np.abs(coeffs) < np.finfo(float).eps] = 0.0
+    roots = _lapack("eigenvalue computation", np.roots, np.trim_zeros(coeffs))
+    t = c + 0.5 * np.log(roots[np.argmin(np.abs(np.angle(roots)))].real)
+    # the companion's roots are accurate to eps of its largest entry: one
+    # Newton step on the whole sum restores the rest
+    u = log_s + 2 * lags * t
+    w = lags * np.exp(u - np.max(u))
+    t -= np.sum(w) / (2 * np.sum(lags * w))
     B = np.zeros_like(A)
     B[i, k] = np.copysign(np.exp(log_a + lag * t), a)
     return B

@@ -1,29 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from _reference import (lagrange_weights, naive_amplification,
                         naive_energy_split)
 from transportbc import energy
-from transportbc import (BoundaryForm, SchemeStencil,
-                         dissipation_and_boundary_form, format_stencil,
-                         make_builtin, verify_energy_balance)
+from transportbc import (SchemeStencil, dissipation_and_boundary_form,
+                         format_stencil, make_builtin, verify_energy_balance)
 
 BUILTINS = ["upwind", "lax_friedrichs", "lax_wendroff"]
-
-
-def _difference_coords(w, r):
-    """Map window tail (w_1..w_{r+p}) to the coordinates BoundaryForm uses."""
-    w = np.asarray(w, dtype=float)
-    n = len(w)
-    z = np.empty(n)
-    for i in range(1, n + 1):
-        if i < r:
-            z[i - 1] = w[i] - w[i - 1]
-        elif i == r:
-            z[i - 1] = w[r - 1]
-        else:
-            z[i - 1] = w[i - 1] - w[i - 2]
-    return z
 
 
 def test_amplification_form_needs_unit_coefficient_sum():
@@ -59,25 +45,25 @@ def test_decompose_two_by_two_closed_form():
 
 def test_dissipation_closed_forms():
     up = make_builtin("upwind", 1.0, 0.7)
-    d, Q = dissipation_and_boundary_form(up)
+    d, T = dissipation_and_boundary_form(up)
     assert d == pytest.approx([0.7 ** 2 - 0.7], abs=1e-15)
-    assert Q.Q == pytest.approx(np.array([[-0.7]]), abs=1e-14)
-    assert Q.center_value() == pytest.approx(-0.7, abs=1e-14)
+    assert T == pytest.approx(np.array([[-0.7]]), abs=1e-14)
+    assert math.fsum(T.ravel()) == pytest.approx(-0.7, abs=1e-14)
 
     lw = make_builtin("lax_wendroff", 1.0, 0.7)
     am1, a0, ap1 = lw.coeffs
-    d, Q = dissipation_and_boundary_form(lw)
+    d, T = dissipation_and_boundary_form(lw)
     assert d == pytest.approx([-a0 * (am1 + ap1), -am1 * ap1], abs=1e-14)
-    assert Q.center_value() == pytest.approx(-0.7, abs=1e-13)
-    assert Q.Q == pytest.approx(Q.Q.T)
+    assert math.fsum(T.ravel()) == pytest.approx(-0.7, abs=1e-13)
+    assert T == pytest.approx(T.T)
 
 
 def test_boundary_center_is_minus_lambda_a():
     for name in BUILTINS:
         for lam in (0.3, 0.55, 1.0):
             st = make_builtin(name, 1.0, lam)
-            _, Q = dissipation_and_boundary_form(st)
-            assert Q.center_value() == pytest.approx(-lam, abs=1e-12)
+            _, T = dissipation_and_boundary_form(st)
+            assert math.fsum(T.ravel()) == pytest.approx(-lam, abs=1e-12)
 
 
 def test_dissipation_requires_first_order():
@@ -115,21 +101,6 @@ def test_energy_balance_reuses_a_read_only_split(monkeypatch):
             verify_energy_balance(ident, v)
 
 
-def test_boundary_form_represents_reduced_form():
-    # Q in difference coordinates and the reduced form in window
-    # coordinates are the same function
-    rng = np.random.default_rng(99)
-    for name in BUILTINS:
-        st = make_builtin(name, 1.0, 0.7)
-        _, T = energy._energy_split(st)
-        _, Q = dissipation_and_boundary_form(st)
-        for _ in range(40):
-            w = rng.uniform(-2, 2, st.r + st.p)
-            z = _difference_coords(w, st.r)
-            assert Q(z) == pytest.approx(float(w @ T @ w),
-                                         rel=1e-12, abs=1e-12)
-
-
 def test_single_cell_energy_identity():
     # the pointwise split: form value = weighted difference squares
     # + telescoping boundary terms on the two overlapping sub-windows
@@ -137,15 +108,14 @@ def test_single_cell_energy_identity():
     for name in BUILTINS:
         for lam in (0.4, 0.7, 1.0):
             st = make_builtin(name, 1.0, lam)
-            d, Q = dissipation_and_boundary_form(st)
+            d, T = dissipation_and_boundary_form(st)
             m = st.r + st.p + 1
             for _ in range(60):
                 v = rng.uniform(-2, 2, m)
                 lhs = naive_amplification(st.coeffs, st.r, v)
                 rhs = sum(dk * (v[k] - v[0]) ** 2
                           for k, dk in enumerate(d, start=1))
-                rhs += Q(_difference_coords(v[1:], st.r))
-                rhs -= Q(_difference_coords(v[:-1], st.r))
+                rhs += v[1:] @ T @ v[1:] - v[:-1] @ T @ v[:-1]
                 assert lhs == pytest.approx(rhs, rel=1e-11, abs=1e-11)
 
 
@@ -242,12 +212,6 @@ def test_energy_balance_dx_scaling():
     assert rhs2 == pytest.approx(0.25 * rhs1, rel=1e-14)
 
 
-def test_boundary_form_is_callable_dataclass():
-    Q = BoundaryForm(Q=np.array([[2.0, 0.0], [0.0, 1.0]]), r=1)
-    assert Q([1.0, 3.0]) == pytest.approx(11.0)
-    assert Q.center_value() == pytest.approx(2.0)
-
-
 def _lagrange(r, p, la):
     return SchemeStencil(r=r, p=p, coeffs=lagrange_weights(r, p, la),
                          velocity_a=1.0, lam=la)
@@ -302,8 +266,8 @@ def test_builtins_split_at_small_lambda():
         lam = float(lam)
         for st in [make_builtin(name, 1.0, lam) for name in BUILTINS] + \
                 [_lagrange(2, 1, lam)]:
-            _, Q = dissipation_and_boundary_form(st)
-            assert Q.center_value() == pytest.approx(-lam, abs=1e-12)
+            _, T = dissipation_and_boundary_form(st)
+            assert math.fsum(T.ravel()) == pytest.approx(-lam, abs=1e-12)
 
 
 def _plain_balance(st, v, dx):

@@ -23,8 +23,11 @@ def test_every_export_resolves():
     ("energy", ("_cached_stability",)),
     ("boundary", ("backward_difference",)),
     ("solver", ("exact_solution", "_shifted_reference")),
+    ("energy", ("BoundaryForm", "_difference_coordinates_inverse")),
+    ("spectral", ("_log_rho",)),
 ], ids=["energy_split", "spectral_paths", "stability_cache",
-        "backward_difference", "reference_path"])
+        "backward_difference", "reference_path", "boundary_form",
+        "balancing_loop"])
 def test_removed_names_are_gone(module, names):
     for name in names:
         assert name not in transportbc.__all__

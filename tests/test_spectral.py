@@ -167,6 +167,49 @@ def test_radius_condition_known_values():
     assert radius_condition(np.zeros((0, 0))) == 1.0
 
 
+def test_balancing_reaches_far_minimizers():
+    # [[0, 1], [eps, 0]] balances to sqrt(eps) [[0, 1], [1, 0]], symmetric,
+    # at log rho = log(eps) / 2; a solver capped at a number of steps of
+    # bounded size stops short and leaves it far from normal (condition
+    # 1.9e56 at eps = 1e-200), and shares below exp(-745) must not
+    # underflow away
+    for eps in (1e-100, 1e-200):
+        M = np.array([[0.0, 1.0], [eps, 0.0]])
+        assert radius_condition(M) == pytest.approx(1.0, abs=1e-12)
+        assert spectral_radius(M) == pytest.approx(math.sqrt(eps),
+                                                   rel=1e-13)
+    # a tridiagonal band (1 above, 1e-120 below) balances to a symmetric
+    # Toeplitz band, radius 2e-60 cos(pi / 11)
+    n = 10
+    M = np.eye(n, k=1) + 1e-120 * np.eye(n, k=-1)
+    assert spectral_radius(M) == pytest.approx(2e-60 * math.cos(math.pi / 11),
+                                               rel=1e-12)
+    assert radius_condition(M) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_balancing_minimizes_a_wide_band():
+    # five bands whose scales differ by up to 10^200: the balanced copy's
+    # Frobenius norm may not drop when its log rho moves by 1e-6 either
+    # way, and its slope in log rho vanishes to rounding
+    rng = np.random.default_rng(3141)
+    n = 12
+    for scale in (8, 30, 100):
+        for _ in range(20):
+            M = sum(10.0 ** rng.uniform(-scale, scale)
+                    * np.diag(rng.uniform(0.5, 2.0, n - abs(k)), k)
+                    for k in range(-2, 3))
+            B = spectral._balanced(M)
+            i, k = np.nonzero(B)
+            lag = k - i
+
+            def norm2(dt):
+                return math.fsum((B[i, k] * np.exp(lag * dt)) ** 2)
+            best = norm2(0.0)
+            assert norm2(1e-6) >= best and norm2(-1e-6) >= best
+            slope = math.fsum(lag * B[i, k] ** 2)
+            assert abs(slope) <= 1e-13 * math.fsum(abs(lag) * B[i, k] ** 2)
+
+
 def test_eigenvalues_match_library_on_random_matrices():
     rng = np.random.default_rng(60468)
     for _ in range(25):
