@@ -21,13 +21,12 @@ all unit levels at once, one per column) all run that one recursion.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .state import FieldState
+from .state import FieldState, _integer
 
 
 @dataclass(frozen=True)
@@ -40,15 +39,6 @@ class BoundarySpec:
         kb = _integer(self.outflow_order_kb, "extrapolation order k_b")
         extrapolation_weights(kb)  # refuses a negative order
         object.__setattr__(self, "outflow_order_kb", kb)
-
-
-def _integer(value, name: str) -> int:
-    """``value`` as an ``int`` (``operator.index``); a ValueError naming
-    ``name`` if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def extrapolation_weights(kb: int) -> tuple[int, ...]:

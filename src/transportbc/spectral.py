@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _fill_outflow, _integer, extrapolation_weights
+from .boundary import _fill_outflow, extrapolation_weights
 from .scheme import SchemeStencil
 from .solver import _next_level
+from .state import _integer
 
 # Complex entries in one stacked SVD of the pseudospectrum grid (16 MB): a
 # whole row of shifts at moderate J, fewer shifts per stack at large J.

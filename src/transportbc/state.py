@@ -1,9 +1,19 @@
 """One time level of cell values, interior plus ghost slots."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int`` (``operator.index``); a ValueError naming
+    ``name`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -22,6 +32,9 @@ class FieldState:
     values: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        self.J = _integer(self.J, "cell count J")
+        self.r = _integer(self.r, "ghost width r")
+        self.p = _integer(self.p, "ghost width p")
         if self.J < 1:
             raise ValueError("need at least one interior cell")
         if self.r < 0 or self.p < 0:

@@ -1,9 +1,13 @@
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
 import transportbc
 from transportbc import energy, solver, spectral
+
+SRC = Path(transportbc.__file__).parent
 
 
 def test_every_export_resolves():
@@ -52,3 +56,27 @@ def test_removed_parameters_are_gone(function, parameter):
 ], ids=["coeff", "get", "set", "_pos"])
 def test_removed_methods_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def _imported_names(tree):
+    """``(name, line)`` of every name bound by an import of ``tree``,
+    ``from __future__`` imports excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        used |= set(transportbc.__all__)
+    unused = [f"{path.name}:{line} {name}"
+              for name, line in _imported_names(tree) if name not in used]
+    assert unused == []

@@ -650,14 +650,14 @@ def test_wide_block_norms_match_per_row_sums():
 def test_march_results_do_not_depend_on_block_size(monkeypatch):
     # one level per block, and the whole run in one block, give the same
     # arrays as the default blocks
-    grid = GridSpec(L=1.0, J=160, lam=0.7)
+    grid = GridSpec(L=1.0, J=320, lam=0.7)
     d = PowerPlusDatum(0.5, 2.6)
 
     def arrays():
-        full = run_interval(d, grid, LW, BoundarySpec(2), 0.5,
+        full = run_interval(d, grid, LW, BoundarySpec(2), 1.0,
                             record="full_history", convention="cell_average")
         rep = error_metrics(full, convention="midpoint")
-        half = run_halfline_outflow(_bump(0.6, 0.3), grid, LW, 1, steps=60)
+        half = run_halfline_outflow(_bump(0.7, 0.25), grid, LW, 1, steps=220)
         return [full.final_state, full.linf_history, full.l2_history,
                 full.history,
                 np.array([rep.linf_sup, rep.l2_sup, rep.linf_final]),
@@ -665,7 +665,9 @@ def test_march_results_do_not_depend_on_block_size(monkeypatch):
                 half.energies, half.linf_history, half.l2_history]
 
     default = arrays()
-    assert 160 * 115 > solver._BLOCK_ENTRIES  # the default splits the runs
+    # the default splits both runs (history, traces) into several blocks
+    rows = solver._BLOCK_ENTRIES // (grid.J + LW.r + LW.p)
+    assert len(default[3]) > 4 * rows and len(default[6]) > 2 * rows
     for entries in (1, 2 ** 30):
         monkeypatch.setattr(solver, "_BLOCK_ENTRIES", entries)
         for got, want in zip(arrays(), default):
@@ -868,6 +870,69 @@ def test_live_columns_match_full_width_evaluation(monkeypatch, entries):
                     _full_width_reference(d, grid, shift, conv), grid.dx)
                 assert np.array_equal(res.linf_history, linf), case
                 assert np.array_equal(res.l2_history, l2), case
+
+
+# -- grouped Gauss nodes and the edges-once power average -------------------
+
+GAUSS_DATA = {
+    "bump": _bump(0.55, 0.3),
+    "cos": CallableDatum(lambda x: np.cos(3.0 * x) + x * x),
+    # -0.0 off its support: a sum started from the first product, not from
+    # +0.0, would keep the sign there
+    "signed_zero": CallableDatum(
+        lambda x: np.where(x > 0.5, np.sin(4.0 * (x - 0.5)), -0.0)),
+}
+
+
+@pytest.mark.parametrize("entries, groups", [
+    (1600, [16]), (500, [5, 5, 5, 1]), (100, [1] * 16),
+], ids=["one_group", "remainder", "per_node"])
+@pytest.mark.parametrize("name", sorted(GAUSS_DATA))
+def test_grouped_gauss_nodes_match_one_call_per_node(monkeypatch, name,
+                                                     entries, groups):
+    monkeypatch.setattr(solver, "_BLOCK_ENTRIES", entries)
+    datum = GAUSS_DATA[name]
+    edges = np.linspace(-0.3, 1.2, 101)  # 100 cells
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    acc = np.zeros(100)
+    for node, w in zip(*np.polynomial.legendre.leggauss(16)):
+        acc += w * datum(mid + half * node)
+    want = 0.5 * acc
+    shapes = []
+
+    def f(xs):
+        shapes.append(xs.shape)
+        return datum(xs)
+
+    assert _bits_equal(solver._gauss_average(f, lo, hi), want)
+    assert shapes == [(g, 100) for g in groups]
+    got = solver._gauss_average(datum, lo.reshape(4, 25), hi.reshape(4, 25))
+    assert _bits_equal(got, want.reshape(4, 25))
+
+
+@pytest.mark.parametrize("datum", [
+    PowerPlusDatum(0.5, 2.6), PowerPlusDatum(0.0, 3.0),
+    PowerPlusDatum(-0.004, 0.5), PowerPlusDatum(0.37, 1.0),
+], ids=repr)
+def test_power_average_takes_each_edge_once(datum):
+    # one default block at J = 2560, with cells straddling x = 0 and x = c
+    grid = GridSpec(L=1.0, J=2560, lam=0.7)
+    rows = solver._BLOCK_ENTRIES // (grid.J + LW.r + LW.p)
+    assert rows >= 12
+    times = (np.arange(rows) + 0.37) * grid.dt
+    edges = grid.cell_edges
+    straddled = set()
+    for a in (1.0, 2.3, -0.5):
+        shift = a * times[:, None]
+        lo, hi = edges[:-1] - shift, edges[1:] - shift
+        F = datum.antiderivative
+        want = (F(np.maximum(hi, 0.0)) - F(np.maximum(lo, 0.0))) / (hi - lo)
+        got = reference_values(datum, grid, times, a, "cell_average")
+        assert _bits_equal(got, want), a
+        straddled |= {point for point in (0.0, datum.c)
+                      if np.any((lo < point) & (point < hi))}
+    assert straddled == {0.0, datum.c}
 
 
 def test_initial_cell_averages_are_the_datum_cell_averages():

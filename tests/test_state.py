@@ -39,3 +39,13 @@ def test_validation():
         FieldState(J=0, r=1, p=1)
     with pytest.raises(ValueError):
         FieldState(J=3, r=-1, p=1)
+
+
+@pytest.mark.parametrize("name", ["J", "r", "p"])
+def test_counts_must_be_integers(name):
+    counts = dict(J=3, r=1, p=1)
+    for value in (1.5, "2", None):
+        with pytest.raises(ValueError, match=rf"\b{name} must be an integer"):
+            FieldState(**{**counts, name: value})
+    s = FieldState(**{**counts, name: np.int64(2)})
+    assert type(getattr(s, name)) is int
