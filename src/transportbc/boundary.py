@@ -12,11 +12,12 @@ which for ``g = 0`` is polynomial extrapolation of degree ``k_b - 1`` from
 the last interior cells (``k_b = 0`` pins the ghosts to ``g`` directly, i.e.
 a right Dirichlet condition).  The ghosts are resolved left to right so each
 one may consume those already filled.  The closure is written once: the
-integer weights of ``extrapolation_weights`` and the left-to-right recursion
-of ``_fill_outflow`` that applies them.  The ghost fill here, the solver's
-time march and the transition-matrix assembly (which fills the ghosts of
-all unit levels at once, one per column) all run that one recursion.
-``extrapolation_weights`` is also where every closure's order is checked.
+integer weights of ``extrapolation_weights``, their taps (the position and
+weight of each term, ``_outflow_taps``) and the left-to-right recursion of
+``_fill_outflow`` that applies the taps.  The ghost fill here, the solver's
+time march (which builds its taps once) and the transition-matrix assembly
+(which fills the ghosts of all unit levels at once, one per column) all run
+that one recursion.  ``extrapolation_weights`` checks every closure's order.
 """
 from __future__ import annotations
 
@@ -61,19 +62,26 @@ def fill_inflow_ghosts(state: FieldState) -> FieldState:
     return state
 
 
-def _fill_outflow(values: np.ndarray, end: int, weights: tuple[int, ...],
+def _outflow_taps(end: int, p: int, weights: tuple[int, ...]) -> list:
+    """For each of the ``p`` outflow ghosts from array position ``end`` on,
+    left to right: its position and the ``(position, weight)`` of each
+    term of its closure, built once for any number of levels."""
+    return [(end + q, [(end + q - m, w) for m, w in enumerate(weights, 1)])
+            for q in range(p)]
+
+
+def _fill_outflow(values: np.ndarray, taps: list,
                   sources: Sequence[float] | None) -> None:
-    """Fill ``values[end:]``, the outflow ghosts of a plain level array, in
-    place from the closure ``weights``, left to right so that each ghost
-    reads the ones before it; ``sources`` holds their ``g`` (zeros when
-    omitted).  A 1-D level is read as Python floats; a 2-D ``values``
-    holds one level per column and is filled row by row."""
+    """Fill the outflow ghosts of a plain level in place from its ``taps``,
+    each ghost reading those before it; ``sources`` holds their ``g``
+    (zeros when omitted).  A 1-D level is read as Python floats; a 2-D
+    ``values`` holds one level per column and is filled row by row."""
     read = values.item if values.ndim == 1 else values.__getitem__
-    for q in range(len(values) - end):
-        acc = float(sources[q]) if sources is not None else 0.0
-        for m, w in enumerate(weights, 1):
-            acc += w * read(end + q - m)
-        values[end + q] = acc
+    for q, (ghost, terms) in enumerate(taps):
+        acc = 0.0 if sources is None else float(sources[q])
+        for pos, w in terms:
+            acc += w * read(pos)
+        values[ghost] = acc
 
 
 def fill_outflow_ghosts(state: FieldState, kb: int,
@@ -93,5 +101,6 @@ def fill_outflow_ghosts(state: FieldState, kb: int,
         )
     if sources is not None and len(sources) < state.p:
         raise ValueError(f"need {state.p} outflow sources, got {len(sources)}")
-    _fill_outflow(state.values, state.r + state.J, weights, sources)
+    taps = _outflow_taps(state.r + state.J, state.p, weights)
+    _fill_outflow(state.values, taps, sources)
     return state

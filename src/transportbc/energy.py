@@ -83,9 +83,10 @@ def dissipation_and_boundary_form(
         raise ValueError("boundary form needs a first-order consistent "
                          f"stencil (moment {report.failed_moment} fails)")
     if stencil.r < 1:
-        # consistent only when lambda * a is below the consistency tolerance
-        raise ValueError("boundary form needs r >= 1: without a left "
-                         "neighbour there is no center direction")
+        # with lambda a > 0 the characteristic foot lies left of each cell,
+        # so by the CFL condition no such stencil converges
+        raise ValueError("boundary form needs r >= 1: the stencil must "
+                         "reach a left neighbour")
     d, T = _energy_split(stencil)
     la = stencil.lam * stencil.velocity_a
     center = math.fsum(T.ravel())

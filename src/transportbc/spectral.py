@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import _fill_outflow, extrapolation_weights
+from .boundary import (_fill_outflow, _outflow_taps,
+                       extrapolation_weights)
 from .scheme import SchemeStencil
 from .solver import _next_level
 from .state import _integer
@@ -92,7 +93,7 @@ def assemble_transition_matrix(J: int, stencil: SchemeStencil,
         )
     level = np.zeros((r + J + p, J))
     level[r:r + J] = np.eye(J)
-    _fill_outflow(level, r + J, weights, None)
+    _fill_outflow(level, _outflow_taps(r + J, p, weights), None)
     A = np.empty((J, J))
     _next_level(stencil.coeff_array, level, A)
     return TransitionMatrix(J=J, entries=A)

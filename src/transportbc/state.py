@@ -35,6 +35,7 @@ class FieldState:
         self.J = _integer(self.J, "cell count J")
         self.r = _integer(self.r, "ghost width r")
         self.p = _integer(self.p, "ghost width p")
+        self.time_index = _integer(self.time_index, "time index")
         if self.J < 1:
             raise ValueError("need at least one interior cell")
         if self.r < 0 or self.p < 0:

@@ -39,6 +39,14 @@ def test_fill_outflow_closed_forms():
         state.interior[:] = [1.0, 2.0, 4.0]
         fill_outflow_ghosts(state, kb)
         assert state.right_ghosts[0] == pytest.approx(expected)
+    # each ghost is summed from +0.0 (or its source) term by term, so a
+    # level of -0.0 gets +0.0 ghosts, and -0.0 sources stay -0.0
+    state = FieldState(J=3, r=1, p=2)
+    state.interior[:] = -0.0
+    fill_outflow_ghosts(state, 1)
+    assert not np.signbit(state.right_ghosts).any()
+    fill_outflow_ghosts(state, 0, sources=[-0.0, -0.0])
+    assert np.signbit(state.right_ghosts).all()
 
 
 def test_fill_outflow_sequential_ghosts():

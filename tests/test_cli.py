@@ -417,7 +417,7 @@ def test_subnormal_end_coefficient_gets_a_verdict(capsys):
 @pytest.mark.parametrize("command", ["verify", "energy-check"])
 def test_one_point_stencil_is_refused(command, capsys):
     # consistent to the tolerance (lambda * a = 1e-13), but with r = 0 the
-    # boundary form has no center direction
+    # stencil does not reach a left neighbour
     scheme = "r=0,p=0,a=0:1;vel=1;lambda=1e-13"
     assert main([command, "--scheme", scheme]) == 1
     captured = capsys.readouterr()

@@ -6,8 +6,9 @@ import pytest
 from _reference import (lagrange_weights, naive_amplification,
                         naive_energy_split)
 from transportbc import energy
-from transportbc import (SchemeStencil, dissipation_and_boundary_form,
-                         format_stencil, make_builtin, verify_energy_balance)
+from transportbc import (SchemeStencil, consistency_order,
+                         dissipation_and_boundary_form, format_stencil,
+                         make_builtin, verify_energy_balance)
 
 BUILTINS = ["upwind", "lax_friedrichs", "lax_wendroff"]
 
@@ -25,6 +26,17 @@ def test_identity_stencil_gives_zero_form():
     assert d.shape == (0,) and T.shape == (0, 0)
     with pytest.raises(ValueError, match="first-order"):
         dissipation_and_boundary_form(ident)
+
+
+def test_consistent_downwind_stencil_is_refused_for_its_reach():
+    # r = 0, p = 1 at lambda a = 0.3 is consistent to order 1, so the
+    # refusal names the missing left neighbour, not consistency
+    st = SchemeStencil(r=0, p=1, coeffs=(1.3, -0.3), velocity_a=1.0,
+                       lam=0.3)
+    assert consistency_order(st).order == 1
+    with pytest.raises(ValueError, match=r"^boundary form needs r >= 1: "
+                       "the stencil must reach a left neighbour$"):
+        dissipation_and_boundary_form(st)
 
 
 def test_decompose_two_by_two_closed_form():

@@ -872,6 +872,53 @@ def test_live_columns_match_full_width_evaluation(monkeypatch, entries):
                 assert np.array_equal(res.l2_history, l2), case
 
 
+# -- the run's meter against the public reference path ----------------------
+
+@pytest.mark.parametrize("conv", ["midpoint", "cell_average"])
+def test_meter_matches_block_errors_of_reference_values(conv):
+    # one meter per run: its block norms have the bits of _block_errors on
+    # reference_values at the block's times, for every datum kind (power c
+    # below, at and above 0, callables with and without support_min), for
+    # growing, still and falling shifts, and for blocks whose levels reach
+    # different first cells; the levels hold signed zeros and subnormals,
+    # whose errors left of the live columns are copied, not subtracted
+    grid = GridSpec(L=1.0, J=64, lam=0.7)
+    rng = np.random.default_rng(23)
+    moved = 0
+    for d in LIVE_DATA:
+        for a in (1.0, 2.3, 0.0, -0.5):
+            measure = solver._meter(d, grid, a, conv)
+            for n0, rows in ((0, 9), (5, 12), (30, 1), (41, 7)):
+                case = (d, a, n0, rows)
+                u = rng.standard_normal((rows, grid.J))
+                u[:, ::5] = -0.0
+                u[:, 1::7] = 5e-324 * rng.integers(-9, 9, (rows, 1))
+                times = np.arange(n0, n0 + rows) * grid.dt
+                ref = reference_values(d, grid, times, a, conv)
+                first = (ref != 0.0).argmax(axis=1)
+                moved += len(set(first.tolist())) > 1
+                want_linf, want_l2 = np.empty(rows), np.empty(rows)
+                solver._block_errors(u, ref, grid.dx, want_linf, want_l2)
+                linf, l2 = np.full(rows, np.nan), np.full(rows, np.nan)
+                measure(u, n0, linf, l2)
+                assert np.array_equal(linf, want_linf), case
+                assert np.array_equal(l2, want_l2), case
+    assert moved >= 20  # blocks whose first nonzero column moves
+
+
+def test_reference_values_take_times_in_any_order():
+    grid = GridSpec(L=1.0, J=37, lam=0.7)
+    times = np.random.default_rng(7).permutation(25) * grid.dt
+    assert not np.all(np.diff(times) > 0)
+    for d in LIVE_DATA:
+        for conv in ("midpoint", "cell_average"):
+            for a in (1.0, -0.5):
+                got = reference_values(d, grid, times, a, conv)
+                for n, t in enumerate(times):
+                    want = reference_values(d, grid, t, a, conv)
+                    assert _bits_equal(got[n], want), (d, conv, a, n)
+
+
 # -- grouped Gauss nodes and the edges-once power average -------------------
 
 GAUSS_DATA = {
@@ -1064,7 +1111,7 @@ def test_nothing_is_skipped_when_coordinates_dwarf_the_cell_width():
                       support_min=lower)
     times = big - 0.25 * np.arange(3)  # each level reaches fewer cells
     _, edges = solver._grid_coordinates(grid.L, grid.J)
-    assert solver._skip_edge(edges, -times, lower) is None
+    assert solver._skip_edge(edges, -times[0], -times[-1], lower) is None
     # the cells of each level whose right edge, shifted back, lies a cell
     # width left of the support: a margin without the guard would skip them
     margin = grid.cell_edges[1:] + times[:, None] <= lower - grid.dx

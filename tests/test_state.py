@@ -49,3 +49,11 @@ def test_counts_must_be_integers(name):
             FieldState(**{**counts, name: value})
     s = FieldState(**{**counts, name: np.int64(2)})
     assert type(getattr(s, name)) is int
+
+
+def test_time_index_must_be_an_integer():
+    for value in (1.5, "2", None):
+        with pytest.raises(ValueError, match=r"time index must be an integer"):
+            FieldState(J=3, r=1, p=1, time_index=value)
+    s = FieldState(J=3, r=1, p=1, time_index=np.int64(4))
+    assert type(s.time_index) is int and s.time_index == 4
