@@ -4,10 +4,12 @@
 Runs the Lax-Wendroff scheme (a=1, lambda=0.7) on (0, 1] up to T=0.5 for
 the data (x-0.5)_+^alpha with alpha in {3.0, 2.6, 2.5}, both outflow
 extrapolation orders, and prints the sup-over-steps midpoint errors with
-their observed orders.  The alpha=3.0 datum is smooth enough for the
-interior scheme to dominate (orders drift toward 2); the fractional
-exponents expose the boundary closure, and their orders settle in a
-strict sub-2 window that the second-order closure cannot beat.
+their observed orders.  The closure sets the order only for kb=1, where
+it goes to 1.  For kb=2 the orders are the interior scheme's: for
+alpha=3.0 they drift toward 2, and for the fractional exponents toward
+the interior rate 2*alpha/3 of a second-order scheme on data of
+smoothness alpha (1.732 against 1.733 at alpha=2.6), because the errors
+with and without the boundary agree within 1.2% from J=80 to 1280.
 """
 
 from transportbc.scheme import make_builtin

@@ -2,7 +2,12 @@
 
 Every command emits either a short text report or a CSV whose first lines
 are ``#``-prefixed comments recording the fully resolved configuration, so
-identical invocations produce byte-identical files.
+on one machine identical invocations produce byte-identical files.
+``energy-check`` and ``verify`` (but for the angle of a stencil wider than
+three points, which comes from LAPACK) also print the same bytes under
+every OpenBLAS kernel and numpy CPU dispatch (``tests/test_kernels.py``
+checks this).  The last bits of ``run``, ``convergence`` and ``spectral``
+values may differ between machines.
 
 Exit codes: 0 success (and ``--help``), 1 validation failure (bad or
 repeated flag values, unknown commands, rejected inputs), 2 numerical
@@ -23,7 +28,7 @@ from .rng import Xoshiro256StarStar
 from .scheme import (BUILTIN_SCHEMES, SchemeStencil, check_l2_stability,
                      consistency_order, format_stencil, make_builtin,
                      parse_stencil)
-from .solver import (GridSpec, PowerPlusDatum, _row_dots, convergence_study,
+from .solver import (GridSpec, PowerPlusDatum, convergence_study,
                      reference_values, run_interval)
 from .spectral import (ConvergenceError, assemble_transition_matrix,
                        operator_norm_l2, pseudospectrum_grid,
@@ -277,9 +282,8 @@ def cmd_energy_check(args) -> int:
             length = 5 + gen.integer(28)
             groups.setdefault(length, []).append(gen.symmetric(length))
         for seqs in groups.values():
-            rows = np.array(seqs)
-            _, rhs, residual = _balance_rows(stencil, rows)
-            scale = np.maximum(1.0, _row_dots(rows))
+            _, rhs, residual, energy = _balance_rows(stencil, np.array(seqs))
+            scale = np.maximum(1.0, energy)
             max_residual = max(max_residual, float(np.max(residual / scale)))
             max_rhs = max(max_rhs, float(np.max(rhs)))
     lines = [

@@ -21,7 +21,9 @@ The balance itself is computed by one row kernel, ``_balance_rows``, for a
 batch of equal-length sequences at once; ``verify_energy_balance`` is that
 kernel on one row, and ``energy-check`` runs it once per sequence length
 of a chunk of random trials.  Each row's numbers have the same bits in any
-batch.
+batch, and every sum is numpy's pairwise ``np.sum``, not BLAS, so they
+keep their bits under any BLAS kernel; each sequence's energy, the scale
+of its checks, is summed once, by the kernel.
 """
 from __future__ import annotations
 
@@ -109,18 +111,21 @@ def _cached_dissipation(stencil: SchemeStencil) -> np.ndarray:
 
 def _balance_rows(stencil: SchemeStencil, rows: np.ndarray,
                   dx: float = 1.0) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]:
+                                            np.ndarray, np.ndarray]:
     """``(lhs, rhs, residual)`` of :func:`verify_energy_balance`, as arrays,
     for each row of the 2-D array ``rows`` (one sequence per row, all of
-    one length).
+    one length), and each row's energy ``dx * sum_j v_j^2``, the scale of
+    its residual.
 
     Each row gets exactly the arithmetic of a one-row call: the step is
     ``_next_level`` applied to the transposed rows (one ordered
     multiply-add per offset, which is also what the march's kernel does
     for a single level), and every sum is ``np.sum`` along a contiguous
-    row, which sums a row pairwise just as it sums a 1-D sequence of that
-    length.  Rows of different lengths must therefore not share a call:
-    zero padding would change the pairwise sums.
+    row, numpy's own pairwise sum (no BLAS), which sums a row just as it
+    sums a 1-D sequence of that length.  Rows of different lengths must
+    therefore not share a call: zero padding would change the pairwise
+    sums.  The energy is the sum of squares that ``lhs`` already takes, on
+    the zero-extended row.
     """
     d = _cached_dissipation(stencil)
     r, p = stencil.r, stencil.p
@@ -133,13 +138,14 @@ def _balance_rows(stencil: SchemeStencil, rows: np.ndarray,
     vv[:, pad:pad + length] = rows
     stepped = np.empty(vv.shape)
     _next_level(stencil.coeff_array, ext.T, stepped.T)
-    lhs = dx * (np.sum(stepped * stepped, axis=1) - np.sum(vv * vv, axis=1))
+    squares = np.sum(vv * vv, axis=1)
+    lhs = dx * (np.sum(stepped * stepped, axis=1) - squares)
 
     rhs = np.zeros(n)
     for k, dk in enumerate(d, start=1):
         diffs = vv[:, k:] - vv[:, :-k]
         rhs += float(dk) * dx * np.sum(diffs * diffs, axis=1)
-    return lhs, rhs, np.abs(lhs - rhs)
+    return lhs, rhs, np.abs(lhs - rhs), dx * squares
 
 
 def verify_energy_balance(stencil: SchemeStencil, test_sequence,
@@ -155,8 +161,9 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     runs on its batches of equal-length sequences, so a sequence gets the
     same bits alone or in a batch; ``d`` is computed once per stencil and
     reused by later calls.  An l2-stable stencil must show a nonpositive
-    ``rhs`` (up to 1e-12 of the sequence energy); a violation raises,
-    since it would mean the split itself is wrong.  The sequence must be
+    ``rhs``, up to 1e-12 of ``max(1, dx * sum_j v_j^2)``, the sequence
+    energy that the kernel sums for ``lhs``; a violation raises, since it
+    would mean the split itself is wrong.  The sequence must be
     finite and ``dx`` positive and finite.
     """
     v = np.asarray(test_sequence, dtype=float)
@@ -166,9 +173,9 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
         raise ValueError("test sequence must be finite")
     if not (dx > 0 and math.isfinite(dx)):
         raise ValueError("dx must be positive and finite")
-    lhs, rhs, residual = (float(x[0]) for x in
-                          _balance_rows(stencil, v[None, :], dx))
-    scale = max(1.0, dx * float(np.dot(v, v)))
+    lhs, rhs, residual, energy = (float(x[0]) for x in
+                                  _balance_rows(stencil, v[None, :], dx))
+    scale = max(1.0, energy)
     if check_l2_stability(stencil).is_stable and rhs > 1e-12 * scale:
         raise AssertionError(
             f"dissipation sum {rhs:.3e} is positive for an l2-stable "

@@ -1,6 +1,6 @@
 """Seeded random numbers for the property-check commands.
 
-The command line promises byte-identical output for identical invocations,
+``energy-check`` promises byte-identical output for identical invocations,
 across implementations of this tool in other languages.  That rules out any
 platform default generator, so the generator is pinned here: xoshiro256**
 with its four 64-bit words seeded by successive outputs of splitmix64 run on

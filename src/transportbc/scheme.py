@@ -27,6 +27,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import chebyshev
 
+from .state import _integer
+
 BUILTIN_SCHEMES = ("upwind", "lax_friedrichs", "lax_wendroff")
 
 
@@ -46,12 +48,16 @@ class SchemeStencil:
     lam: float
 
     def __post_init__(self) -> None:
-        if self.r < 0 or self.p < 0:
+        r = _integer(self.r, "stencil width r")
+        p = _integer(self.p, "stencil width p")
+        if r < 0 or p < 0:
             raise ValueError("stencil widths r, p must be nonnegative")
-        if len(self.coeffs) != self.r + self.p + 1:
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        if len(self.coeffs) != r + p + 1:
             raise ValueError(
-                f"expected {self.r + self.p + 1} coefficients for r={self.r}, "
-                f"p={self.p}, got {len(self.coeffs)}"
+                f"expected {r + p + 1} coefficients for r={r}, "
+                f"p={p}, got {len(self.coeffs)}"
             )
         if not (self.velocity_a > 0 and math.isfinite(self.velocity_a)):
             raise ValueError("velocity must be positive and finite")
@@ -231,29 +237,32 @@ def parse_stencil(text: str) -> SchemeStencil:
     """Parse the compact text form of a custom stencil.
 
     Example: ``"r=1,p=1,a=-1:0.595,0:0.51,1:-0.105;vel=1;lambda=0.7"``.
-    Whitespace is ignored everywhere.  Every offset in -r..p must be given
-    exactly once.
+    Whitespace is ignored everywhere.  Each of ``r=``, ``p=``, ``vel=`` and
+    ``lambda=``, and every offset in -r..p, must be given exactly once.
     """
     compact = "".join(text.split())
     if not compact:
         raise ValueError("empty stencil string")
-    r = p = None
-    vel = lam = None
+    keys: dict[str, float] = {}
+
+    def once(key: str, value: float) -> None:
+        if key in keys:
+            raise ValueError(f"{key}= given twice")
+        keys[key] = value
+
     coeff_map: dict[int, float] = {}
     for segment in compact.split(";"):
         if not segment:
             continue
         if segment.startswith("vel="):
-            vel = float(segment[4:])
+            once("vel", float(segment[4:]))
         elif segment.startswith("lambda="):
-            lam = float(segment[7:])
+            once("lambda", float(segment[7:]))
         else:
             in_coeffs = False
             for token in segment.split(","):
-                if token.startswith("r=") and not in_coeffs:
-                    r = int(token[2:])
-                elif token.startswith("p=") and not in_coeffs:
-                    p = int(token[2:])
+                if token[:2] in ("r=", "p=") and not in_coeffs:
+                    once(token[0], int(token[2:]))
                 else:
                     if token.startswith("a="):
                         in_coeffs = True
@@ -267,17 +276,18 @@ def parse_stencil(text: str) -> SchemeStencil:
                     if off in coeff_map:
                         raise ValueError(f"offset {off} given twice")
                     coeff_map[off] = float(val_s)
-    if r is None or p is None:
+    if "r" not in keys or "p" not in keys:
         raise ValueError("stencil string must set r= and p=")
-    if vel is None or lam is None:
+    if "vel" not in keys or "lambda" not in keys:
         raise ValueError("stencil string must set vel= and lambda=")
+    r, p = keys["r"], keys["p"]
     expected = list(range(-r, p + 1))
     if sorted(coeff_map) != expected:
         raise ValueError(
             f"need coefficients for offsets {expected}, got {sorted(coeff_map)}"
         )
     return SchemeStencil(r=r, p=p, coeffs=tuple(coeff_map[e] for e in expected),
-                         velocity_a=vel, lam=lam)
+                         velocity_a=keys["vel"], lam=keys["lambda"])
 
 
 def format_stencil(stencil: SchemeStencil) -> str:

@@ -37,9 +37,11 @@ averages (16 datum evaluations per cell) also skip each level's own
 unreachable cells and call the datum once per group of nodes; a power
 cell average takes the antiderivative once per shifted edge.  The norms,
 masses, energies and traces take a few whole-block calls each, with the
-arithmetic of a loop of ``step`` calls, so no result depends on the
-block size.  Run results are plain arrays of level interiors; a
-``FieldState`` is built only by ``initial_state`` and ``step``.
+arithmetic of a loop of ``step`` calls; the sums of squares are numpy's
+own einsum loop (``_sum_squares``), not BLAS, so no result depends on
+the block size or on the BLAS kernel the machine picks.  Run results are
+plain arrays of level interiors; a ``FieldState`` is built only by
+``initial_state`` and ``step``.
 
 Reported error tables use the midpoint convention with the sup-over-steps
 statistic; both statistics are always emitted so the choice stays visible.
@@ -76,8 +78,12 @@ _BLOCK_ENTRIES = 2 ** 15
 # dot matched the ordered loop bit for bit, signed zeros included, in every
 # random case tried (numpy 2.4, OpenBLAS 0.3.31); from width 12 on it
 # differed in most of them, since longer dots are summed in another order.
+# It is the one BLAS call left on a pinned path, and its bits held under
+# the default OpenBLAS kernel, ``OPENBLAS_CORETYPE=Haswell`` and
+# ``Prescott``, and numpy's AVX-512 loops switched off.
 # ``tests/test_solver.py::test_march_is_bit_exact_against_scalar_loop``
-# checks both sides of the limit.
+# checks both sides of the limit, and ``tests/test_kernels.py`` reruns it
+# under those kernels.
 _CORRELATE_WIDTH = 11
 
 
@@ -354,8 +360,10 @@ def _next_level(coeffs: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
 
     For a 1-D level of up to ``_CORRELATE_WIDTH`` coefficients this is one
     ``np.correlate`` (as in ``_march``), whose per-cell BLAS dot sums short
-    vectors in exactly that order; wider stencils and 2-D levels (one level
-    per column) take the loop, one multiply-add per offset into one buffer.
+    vectors in exactly that order, under every kernel tried; it is the one
+    BLAS call left on a pinned path.  Wider stencils and 2-D levels (one
+    level per column) take the loop, one multiply-add per offset into one
+    buffer.
     """
     if v.ndim == 1 and len(coeffs) <= _CORRELATE_WIDTH:
         out[:] = np.correlate(v, coeffs, "valid")
@@ -435,24 +443,27 @@ def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
     return level[r:end].copy()
 
 
-def _row_dots(a: np.ndarray) -> np.ndarray:
-    """``np.dot(row, row)`` of every row of ``a``, as one stacked product
-    (the same BLAS dot per row, so the same bits)."""
-    return np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0]
+def _sum_squares(a: np.ndarray) -> np.ndarray:
+    """The sum of squares of every row of ``a``, by numpy's own einsum
+    loop, which is not a BLAS kernel picked from the CPU at run time.  A
+    row has the same bits alone or in any block, contiguous or strided,
+    under every BLAS kernel and CPU dispatch tried."""
+    return np.einsum("ij,ij->i", a, a)
 
 
 def _block_errors(u: np.ndarray, ref: np.ndarray, dx: float,
                   linf: np.ndarray, l2: np.ndarray) -> None:
     """l-infinity and l2 errors of the rows of ``u`` against ``ref``, the
     reference values of their last ``ref.shape[1]`` columns (zero left of
-    them), written into ``linf`` and ``l2``.  Where the reference is zero
-    the error is ``u`` itself, copied: ``u - 0.0`` has the same bits, but
-    is far slower on the subnormal cells a march leaves there."""
+    them), written into ``linf`` and ``l2``; an l2 error is
+    ``sqrt(dx * _sum_squares(err))`` of its row.  Where the reference is
+    zero the error is ``u`` itself, copied: ``u - 0.0`` has the same bits,
+    but is far slower on the subnormal cells a march leaves there."""
     j0 = u.shape[1] - ref.shape[1]
     err = np.empty(u.shape)
     err[:, :j0] = u[:, :j0]
     np.subtract(u[:, j0:], ref, out=err[:, j0:])
-    np.sqrt(dx * _row_dots(err), out=l2)
+    np.sqrt(dx * _sum_squares(err), out=l2)
     np.maximum.reduce(np.abs(err, out=err), axis=1, out=linf)
 
 
@@ -775,7 +786,7 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
         traces[n0:n1] = block[:, lo:lo + n_trace]
         u = block[:, r:r + grid.J]
         masses[n0:n1] = dx * np.sum(u, axis=1)
-        energies[n0:n1] = dx * _row_dots(u)
+        energies[n0:n1] = dx * _sum_squares(u)
         measure(u, n0, linf_hist[n0:n1], l2_hist[n0:n1])
 
     final = _march(state.values, stencil, kb, steps, observe,

@@ -473,6 +473,14 @@ def test_non_finite_stencils_rejected(capsys):
             assert "finite" in captured.err, argv
 
 
+def test_repeated_stencil_key_rejected(capsys):
+    scheme = "r=1,p=1,r=2,a=-1:0.595,0:0.51,1:-0.105;vel=1;lambda=0.7"
+    assert main(["verify", "--scheme", scheme]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: r= given twice\n"
+
+
 def test_unknown_datum_rejected(capsys):
     assert main(["run", "--J", "10", "--datum", "u99"]) == 1
     assert "unknown datum" in capsys.readouterr().err

@@ -46,6 +46,15 @@ def test_stencil_validation():
         SchemeStencil(r=1, p=0, coeffs=(0.5, 0.5), velocity_a=0.0, lam=0.5)
     with pytest.raises(ValueError):
         SchemeStencil(r=0, p=0, coeffs=(1.0,), velocity_a=1.0, lam=0.0)
+    # widths are counts, kept as ints: consistency_order ranges over them
+    with pytest.raises(ValueError, match="width r must be an integer"):
+        SchemeStencil(r=0.5, p=0.5, coeffs=(0.85, 0.15), velocity_a=1.0,
+                      lam=0.7)
+    with pytest.raises(ValueError, match="width p must be an integer"):
+        SchemeStencil(r=1, p=0.0, coeffs=(0.7, 0.3), velocity_a=1.0, lam=0.7)
+    st = SchemeStencil(r=np.int64(1), p=np.int64(0), coeffs=(0.7, 0.3),
+                       velocity_a=1.0, lam=0.7)
+    assert type(st.r) is int and type(st.p) is int
 
 
 def test_stencil_rejects_non_finite_values():
@@ -275,6 +284,11 @@ def test_parse_stencil_ignores_whitespace():
     "r=1,p=0,a=0:0.3;vel=1;lambda=0.7",
     "r=1,p=0,a=-1:0.7,-1:0.1,0:0.2;vel=1;lambda=0.7",
     "r=1,p=0,a=-1:0.7,0:0.3,junk;vel=1;lambda=0.7",
+    # a repeated key would silently take its last value
+    "r=1,p=0,a=-1:0.7,0:0.3;vel=1;lambda=0.7;vel=2",
+    "r=1,p=0,a=-1:0.7,0:0.3;lambda=0.7;vel=1;lambda=0.3",
+    "r=1,p=0,a=-1:0.7,0:0.3;vel=1;lambda=0.7;r=1,p=0",
+    "r=1,p=0,r=2,a=-1:0.7,0:0.3;vel=1;lambda=0.7",
 ])
 def test_parse_stencil_rejects_malformed(bad):
     with pytest.raises(ValueError):

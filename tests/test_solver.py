@@ -535,7 +535,7 @@ def _stepped_interval(datum, grid, st, kb, T, record, convention):
         err = state.interior - reference_values(datum, grid, n * grid.dt, a,
                                                 convention)
         linf[n] = np.max(np.abs(err))
-        l2[n] = math.sqrt(grid.dx * float(np.dot(err, err)))
+        l2[n] = math.sqrt(grid.dx * float(np.einsum("i,i->", err, err)))
     if record == "final":
         return state, None, None, None
     return (state, linf, l2,
@@ -559,10 +559,10 @@ def _stepped_halfline(datum, grid, st, kb, steps, sources, convention):
         traces[n] = state.values[lo:lo + width]
         u = state.interior
         masses[n] = grid.dx * float(np.sum(u))
-        energies[n] = grid.dx * float(np.dot(u, u))
+        energies[n] = grid.dx * float(np.einsum("i,i->", u, u))
         err = u - reference_values(datum, grid, n * grid.dt, a, convention)
         linf[n] = np.max(np.abs(err))
-        l2[n] = math.sqrt(grid.dx * float(np.dot(err, err)))
+        l2[n] = math.sqrt(grid.dx * float(np.einsum("i,i->", err, err)))
     return state, f0, traces, masses, energies, linf, l2
 
 
@@ -627,8 +627,9 @@ def test_halfline_march_matches_stepped_runs(st):
 
 
 def test_wide_block_norms_match_per_row_sums():
-    # J = 2560 rows reach the wide BLAS kernels: the whole-block l2 norms,
-    # masses and energies must equal per-row np.dot and np.sum bit for bit
+    # J = 2560 rows are long enough for a kernel to split its sums: the
+    # whole-block l2 norms, masses and energies must equal per-row einsum
+    # and np.sum bit for bit
     grid = GridSpec(L=1.0, J=2560, lam=LW.lam)
     assert solver._BLOCK_ENTRIES // (grid.J + LW.r + LW.p) > 1  # several rows
     for d in (PowerPlusDatum(0.5, 2.6), _bump(0.6, 0.3)):
@@ -801,7 +802,8 @@ def _full_width_reference(datum, grid, shift, convention):
 def _row_norms(levels, ref, dx):
     err = levels - ref
     return (np.array([np.max(np.abs(e)) for e in err]),
-            np.array([math.sqrt(dx * float(np.dot(e, e))) for e in err]))
+            np.array([math.sqrt(dx * float(np.einsum("i,i->", e, e)))
+                      for e in err]))
 
 
 LIVE_DATA = [PowerPlusDatum(-0.2, 0.5), PowerPlusDatum(0.0, 2.6),
