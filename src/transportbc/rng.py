@@ -6,26 +6,36 @@ platform default generator, so the generator is pinned here: xoshiro256**
 with its four 64-bit words seeded by successive outputs of splitmix64 run on
 the user seed.  Both algorithms are public domain and fit in a page.
 
-Outputs are made a block at a time, by ``Xoshiro256StarStar._refill``.  Its
-one Python loop only steps the four state words, keeping each ``s1``; the
-``**`` scrambler ``rotl(s1 * 5, 7) * 9`` reads nothing but that word, so it
-runs once per block on the kept words in numpy ``uint64``, whose products
-wrap modulo 2**64 exactly as masking does.  The block's ``[0, 1)`` doubles
-are converted at the same time.  Every draw (``next_u64``, ``integer``,
-``uniforms``, ``symmetric``) reads the next unread outputs of the block, so
-the stream is the one a scalar generator makes, output for output; the
-state words run ahead of the draws by the unread part of the block.
+Outputs are made a block of ``_BLOCK`` at a time, by
+``Xoshiro256StarStar._refill``.  The state step is linear over GF(2): each
+word of the next state is an XOR of shifts and rotations of the current
+words.  So the ``s1`` words of a whole block, and the state after it, are
+the XOR of the same quantities over the set bits of the state.
+``_table()`` holds them for each of the 256 one-bit states; it is built
+once per process, at the first refill, by running the recurrence on all
+256 unit states at once.  A refill unpacks the state into its 256 bits
+and XOR-reduces the table rows at the set bits.  XOR is exact in any
+order, so the kept words are the ones the scalar loop keeps, bit for bit.
+The ``**`` scrambler ``rotl(s1 * 5, 7) * 9`` reads nothing but ``s1``, so
+it runs once per block on the kept words in numpy ``uint64``, whose
+products wrap modulo 2**64 exactly as masking does.  The block's
+``[0, 1)`` doubles are converted at the same time.  Every draw
+(``next_u64``, ``integer``, ``uniforms``, ``symmetric``) reads the next
+unread outputs of the block, so the stream is the one a scalar generator
+makes, output for output; the state words run ahead of the draws by the
+unread outputs, fewer than a block.
 """
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
 
 _MASK = (1 << 64) - 1
 
-# outputs made per refill; a request for more than is left gets one block
-# sized to it
+# outputs made per table block; a request for more than is left takes as
+# many whole blocks as it needs
 _BLOCK = 256
 
 
@@ -39,6 +49,34 @@ def _splitmix64(state: int):
         yield z ^ (z >> 31)
 
 
+@functools.cache
+def _table() -> np.ndarray:
+    """The block table, shape ``(256, _BLOCK + 4)`` in ``uint64``.
+
+    Row ``64 w + b`` belongs to the state whose word ``w`` is ``1 << b``
+    and whose other words are 0.  Its first ``_BLOCK`` columns are that
+    state's ``s1`` at steps ``0.._BLOCK-1``; its last 4 are the state
+    after ``_BLOCK`` steps.
+    """
+    bit = np.arange(256)
+    unit = np.uint64(1) << (bit % 64).astype(np.uint64)
+    s0, s1, s2, s3 = (np.where(bit // 64 == w, unit, np.uint64(0))
+                      for w in range(4))
+    table = np.empty((256, _BLOCK + 4), dtype=np.uint64)
+    for k in range(_BLOCK):
+        table[:, k] = s1
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = s3 << np.uint64(45) | s3 >> np.uint64(19)
+    table[:, _BLOCK:] = np.stack((s0, s1, s2, s3), axis=1)
+    table.flags.writeable = False
+    return table
+
+
 def _count(n) -> int:
     n = operator.index(n)
     if n < 0:
@@ -50,7 +88,8 @@ class Xoshiro256StarStar:
     """xoshiro256** seeded via splitmix64 (never all-zero)."""
 
     def __init__(self, seed: int) -> None:
-        feed = _splitmix64(int(seed) & _MASK)
+        # an integer seed wraps modulo 2**64; any other type is refused
+        feed = _splitmix64(operator.index(seed) & _MASK)
         self._s = [next(feed) for _ in range(4)]
         if not any(self._s):
             self._s[0] = 1  # unreachable from splitmix64, guarded anyway
@@ -60,23 +99,20 @@ class Xoshiro256StarStar:
         self._doubles = np.empty(0)
         self._pos = 0
 
-    def _refill(self, n: int) -> None:
-        """Append ``n`` new outputs to the unread rest of the block."""
-        mask = _MASK
-        s0, s1, s2, s3 = self._s
+    def _refill(self, blocks: int) -> None:
+        """Append ``blocks * _BLOCK`` new outputs to the unread rest of
+        the block."""
+        table = _table()
+        state = np.array(self._s, dtype="<u8")
         kept = []
-        keep = kept.append
-        for _ in range(n):
-            keep(s1)
-            t = s1 << 17 & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = (s3 << 45 | s3 >> 19) & mask
-        self._s = [s0, s1, s2, s3]
-        x = np.array(kept, dtype=np.uint64) * np.uint64(5)
+        for _ in range(blocks):
+            # bit 64 w + b is bit b of word w, as the table numbers its rows
+            bits = np.unpackbits(state.view(np.uint8), bitorder="little")
+            row = np.bitwise_xor.reduce(table[np.flatnonzero(bits)], axis=0)
+            kept.append(row[:_BLOCK])
+            state = row[_BLOCK:].astype("<u8")
+        self._s = state.tolist()
+        x = np.concatenate(kept) * np.uint64(5)
         x = (x << np.uint64(7) | x >> np.uint64(57)) * np.uint64(9)
         # below 2**53, so the conversion and the scaling are exact
         doubles = (x >> np.uint64(11)).astype(float) * (2.0 ** -53)
@@ -90,7 +126,7 @@ class Xoshiro256StarStar:
         first of them."""
         left = len(self._words) - self._pos
         if left < n:
-            self._refill(max(_BLOCK, n - left))
+            self._refill(-((left - n) // _BLOCK))
         start = self._pos
         self._pos = start + n
         return start

@@ -30,6 +30,9 @@ GATES = [
     "test_solver.py::test_wide_block_norms_match_per_row_sums",
     "test_energy.py::test_balance_rows_are_bit_exact_per_row",
     "test_energy.py::test_energy_balance_lhs_is_bit_exact_against_scalar_loop",
+    "test_rng.py::test_mixed_draws_match_scalar_stream",
+    "test_rng.py::test_table_rows_match_scalar_stream",
+    "test_rng.py::test_table_blocks_match_scalar_stream",
 ]
 
 

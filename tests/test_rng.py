@@ -51,9 +51,11 @@ def test_determinism_and_seed_separation():
     assert a == b
     c = [Xoshiro256StarStar(8).next_u64() for _ in range(20)]
     assert a != c
-    # seeds beyond 64 bits wrap instead of raising
+    # seeds beyond 64 bits, and negative seeds, wrap instead of raising
     big = Xoshiro256StarStar(2 ** 64 + 7)
     assert big.next_u64() == a[0]
+    assert Xoshiro256StarStar(-2 ** 64 + 7).next_u64() == a[0]
+    assert Xoshiro256StarStar(np.int64(7)).next_u64() == a[0]
 
 
 def test_uniform_range_and_bit_mapping():
@@ -131,6 +133,10 @@ def test_draw_arguments_are_validated():
         with pytest.raises(TypeError):
             draw(2.0)
     assert gen._s == state  # a rejected argument draws nothing
+    # a non-integer seed is refused, not truncated to one stream for 1.2, 1.7
+    for seed in (1.2, 1.7, 7.0, "7", None):
+        with pytest.raises(TypeError):
+            Xoshiro256StarStar(seed)
     assert gen.integer(np.int64(28)) == Xoshiro256StarStar(3).integer(28)
     assert type(gen.integer(np.int64(28))) is int
 
@@ -169,7 +175,7 @@ def test_draws_straddling_a_refill_match_scalar_stream():
     # 3 outputs left: a request of 10 reads them and 7 of the next block
     assert gen.symmetric(10).tolist() == ref.symmetric(10)
     assert gen.uniforms(0).tolist() == []
-    # larger than a block and than what is left: one block sized to it
+    # larger than a block and than what is left: whole blocks enough for it
     n = 3 * _BLOCK + 5
     assert gen.uniforms(n).tolist() == ref.uniforms(n)
     assert gen.integer(2 ** 63 + 1) == ref.integer(2 ** 63 + 1)
@@ -185,3 +191,44 @@ def test_mixed_draws_match_scalar_stream(seed):
         n = int(plan.choice([0, 1, 2, 28, _BLOCK - 1, _BLOCK, _BLOCK + 1,
                              2 * _BLOCK + 9]))
         assert _draw(gen, kind, n) == _draw(ref, kind, n), (kind, n)
+
+
+def _from(start):
+    """The table-stepped and the scalar generator, both at ``start``: a
+    seed, or a state set by hand."""
+    if isinstance(start, list):
+        gen, ref = Xoshiro256StarStar(0), ScalarXoshiro256StarStar(0)
+        gen._s, ref._s = list(start), list(start)
+        return gen, ref
+    return Xoshiro256StarStar(start), ScalarXoshiro256StarStar(start)
+
+
+def test_table_rows_match_scalar_stream():
+    # one block from each one-bit state reads exactly one row of the table
+    for bit in range(256):
+        state = [0, 0, 0, 0]
+        state[bit // 64] = 1 << bit % 64
+        gen, ref = _from(state)
+        assert gen._outputs(_BLOCK) == ref._outputs(_BLOCK), bit
+        assert gen._s == ref._s, bit
+
+
+ONES = 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("start", [
+    [1, 0, 0, 0], [0, 0, 0, 1 << 63], [ONES, 0, 0, 0], [0, ONES, 0, 0],
+    [0, 0, ONES, 0], [0, 0, 0, ONES], [ONES] * 4, [1, 2, 3, 4],
+    0, 7, 2026, ONES])
+def test_table_blocks_match_scalar_stream(start):
+    gen, ref = _from(start)
+    made = ScalarXoshiro256StarStar(0)
+    made._s = list(ref._s)
+    # 1 output takes a block, _BLOCK - 1 reads the rest of it, 3 * _BLOCK + 5
+    # takes 4 blocks and leaves _BLOCK - 5 unread, _BLOCK takes 1 more
+    for n in (1, _BLOCK - 1, 3 * _BLOCK + 5, _BLOCK):
+        assert gen._outputs(n) == ref._outputs(n), n
+    assert len(gen._words) - gen._pos == _BLOCK - 5
+    # the state has run exactly the 6 blocks made
+    made._outputs(6 * _BLOCK)
+    assert gen._s == made._s
