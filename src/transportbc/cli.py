@@ -30,9 +30,9 @@ from .scheme import (BUILTIN_SCHEMES, SchemeStencil, check_l2_stability,
                      parse_stencil)
 from .solver import (GridSpec, PowerPlusDatum, convergence_study,
                      reference_values, run_interval)
-from .spectral import (ConvergenceError, assemble_transition_matrix,
-                       operator_norm_l2, pseudospectrum_grid,
-                       radius_condition, spectral_radius)
+from .spectral import (ConvergenceError, _radius_and_condition,
+                       assemble_transition_matrix, operator_norm_l2,
+                       pseudospectrum_grid)
 
 NAMED_DATA = {
     "u01": (0.5, 3.0),
@@ -40,12 +40,18 @@ NAMED_DATA = {
     "u03": (0.5, 2.5),
 }
 
-# energy-check draws and balances its trials this many at a time, so its
-# memory does not grow with --trials
+# energy-check draws its trials this many at a time and balances each
+# chunk in one call of the row kernel, whatever the trials' lengths, so its
+# memory does not grow with --trials; no output depends on the chunk
 _TRIAL_CHUNK = 512
 
 # pseudospectrum grid points per axis when --res is not given
 _RES = 64
+
+# Largest exponent ``log(y)`` of a reference value ``y`` that ``run`` and
+# ``convergence`` accept: the float range less a margin of e^8 (about
+# 3000) for the stencil sums and the errors built from such values.
+_LOG_RANGE = math.log(sys.float_info.max) - 8.0
 
 
 def _fmt(v) -> str:
@@ -68,6 +74,26 @@ def _resolve_datum(text: str) -> PowerPlusDatum:
         f"unknown datum {text!r}; use one of {sorted(NAMED_DATA)} or "
         "power:c:alpha"
     )
+
+
+def _check_range(datum: PowerPlusDatum, L: float, J: int) -> None:
+    """Refuse an interval ``(0, L]`` on which the datum's reference
+    values, their antiderivative (for cell averages) or the sum of ``J``
+    of their squares (an l2 error) would overflow; all grow with ``L``."""
+    top = L - datum.c  # the largest base of the power
+    if not (0.0 < L < math.inf and top > 1.0):
+        return  # the grid refuses such an L; a base up to 1 cannot overflow
+    log_top = math.log(top)  # inf if L - c overflowed
+    if max((datum.alpha + 1.0) * log_top,
+           2.0 * datum.alpha * log_top + math.log(max(J, 1))) > _LOG_RANGE:
+        raise ValueError(f"--L {L!r} is too long: the reference values of "
+                         "the datum on (0, L] overflow")
+
+
+def _check_finite(what: str, values) -> None:
+    """Refuse to print a march whose values left the float range."""
+    if not all(math.isfinite(v) for v in values):
+        raise AssertionError(f"{what} left the float range")
 
 
 def _resolve_stencil(args, enforce_cfl: bool = True) -> SchemeStencil:
@@ -171,6 +197,7 @@ def cmd_run(args) -> int:
         raise ValueError("run needs --J")
     grid = GridSpec(L=args.L, J=args.J, lam=stencil.lam)
     kbs = _distinct("--kb", args.kb)
+    _check_range(datum, grid.L, grid.J)
     numeric = {}
     for kb in kbs:
         run = run_interval(datum, grid, stencil, BoundarySpec(kb), args.T,
@@ -191,6 +218,7 @@ def cmd_run(args) -> int:
         row += [exact[i]]
         row += [numeric[kb][i] - exact[i] for kb in kbs]
         rows.append(tuple(row))
+    _check_finite("the march", (v for row in rows for v in row))
     header = _config_header(
         args, stencil, L=args.L, J=args.J, kb=",".join(map(str, kbs)),
         T=args.T, n_steps=run.n_steps, t_final=repr(run.t_final),
@@ -209,8 +237,11 @@ def cmd_convergence(args) -> int:
     if len(args.kb) != 1:
         raise ValueError("convergence takes exactly one --kb value")
     kb = args.kb[0]
+    _check_range(datum, args.L, max(args.J_list))
     rows = convergence_study(datum, stencil, kb, args.J_list, args.T,
                              L=args.L, convention=args.convention)
+    _check_finite("the march", (e for row in rows
+                                for e in (row.error_final, row.error_sup)))
     header = _config_header(
         args, stencil, L=args.L, J_list=",".join(map(str, args.J_list)),
         kb=kb, T=args.T, datum=args.datum, convention=args.convention,
@@ -254,9 +285,9 @@ def cmd_spectral(args) -> int:
     for kb in kbs:
         for J in J_values:
             matrix = assemble_transition_matrix(J, stencil, kb)
-            rows.append((J, kb, spectral_radius(matrix),
-                         operator_norm_l2(matrix)))
-            conditions.append(f"{J}:{kb}:{radius_condition(matrix):.1e}")
+            rho, condition = _radius_and_condition(matrix)
+            rows.append((J, kb, rho, operator_norm_l2(matrix)))
+            conditions.append(f"{J}:{kb}:{condition:.1e}")
     # condition number of each row's rho (see the spectral module): near 1
     # it is accurate to rounding, far above 1 it has stopped converging
     header = _config_header(
@@ -276,16 +307,13 @@ def cmd_energy_check(args) -> int:
     max_residual = 0.0
     max_rhs = -float("inf")
     for start in range(0, args.trials, _TRIAL_CHUNK):
-        # draw in trial order, then balance each length's rows in one pass
-        groups: dict[int, list[np.ndarray]] = {}
-        for _ in range(min(_TRIAL_CHUNK, args.trials - start)):
-            length = 5 + gen.integer(28)
-            groups.setdefault(length, []).append(gen.symmetric(length))
-        for seqs in groups.values():
-            _, rhs, residual, energy = _balance_rows(stencil, np.array(seqs))
-            scale = np.maximum(1.0, energy)
-            max_residual = max(max_residual, float(np.max(residual / scale)))
-            max_rhs = max(max_rhs, float(np.max(rhs)))
+        # draw in trial order, then balance the whole chunk in one pass
+        seqs = [gen.symmetric(5 + gen.integer(28))
+                for _ in range(min(_TRIAL_CHUNK, args.trials - start))]
+        _, rhs, residual, energy = _balance_rows(stencil, seqs)
+        scale = np.maximum(1.0, energy)
+        max_residual = max(max_residual, float(np.max(residual / scale)))
+        max_rhs = max(max_rhs, float(np.max(rhs)))
     lines = [
         f"scheme {format_stencil(stencil)}",
         f"trials {args.trials} seed {args.seed}",

@@ -18,12 +18,15 @@ boundary form: its value on a constant window, the sum of its entries, is
 ``-lambda a``.
 
 The balance itself is computed by one row kernel, ``_balance_rows``, for a
-batch of equal-length sequences at once; ``verify_energy_balance`` is that
-kernel on one row, and ``energy-check`` runs it once per sequence length
-of a chunk of random trials.  Each row's numbers have the same bits in any
-batch, and every sum is numpy's pairwise ``np.sum``, not BLAS, so they
-keep their bits under any BLAS kernel; each sequence's energy, the scale
-of its checks, is summed once, by the kernel.
+batch of sequences of any lengths at once; ``verify_energy_balance`` is
+that kernel on one row, and ``energy-check`` runs it once per chunk of
+random trials.  The kernel steps, squares and differences the whole batch
+in one zero-padded array, but sums each row over its own length only:
+numpy's pairwise sum splits a row where its length says, so a sum over the
+padded width would change the bits.  Each row's numbers thus have the same
+bits in any batch, and every sum is numpy's pairwise sum, not BLAS, so
+they keep their bits under any BLAS kernel; each sequence's energy, the
+scale of its checks, is summed once, by the kernel.
 """
 from __future__ import annotations
 
@@ -109,43 +112,67 @@ def _cached_dissipation(stencil: SchemeStencil) -> np.ndarray:
     return d
 
 
-def _balance_rows(stencil: SchemeStencil, rows: np.ndarray,
+def _balance_rows(stencil: SchemeStencil, rows,
                   dx: float = 1.0) -> tuple[np.ndarray, np.ndarray,
                                             np.ndarray, np.ndarray]:
     """``(lhs, rhs, residual)`` of :func:`verify_energy_balance`, as arrays,
-    for each row of the 2-D array ``rows`` (one sequence per row, all of
-    one length), and each row's energy ``dx * sum_j v_j^2``, the scale of
-    its residual.
+    for each of the sequences ``rows`` (1-D, of any lengths; the rows of a
+    2-D array count as such sequences), and each sequence's energy
+    ``dx * sum_j v_j^2``, the scale of its residual.
 
-    Each row gets exactly the arithmetic of a one-row call: the step is
+    The sequences are sorted by length and zero-extended into one 2-D
+    array, which is stepped, squared and differenced once: the step is
     ``_next_level`` applied to the transposed rows (one ordered
     multiply-add per offset, which is also what the march's kernel does
-    for a single level), and every sum is ``np.sum`` along a contiguous
-    row, numpy's own pairwise sum (no BLAS), which sums a row just as it
-    sums a 1-D sequence of that length.  Rows of different lengths must
-    therefore not share a call: zero padding would change the pairwise
-    sums.  The energy is the sum of squares that ``lhs`` already takes, on
-    the zero-extended row.
+    for a single level), and every entry of a product or difference
+    depends on its own cells alone.  Only the sums are taken per length:
+    each is ``np.add.reduce`` along a row cut to the row's own width,
+    numpy's own pairwise sum (no BLAS), which sums a row as it sums a 1-D
+    sequence of that length; summed over the padded width, the zeros would
+    change where the pairwise sum splits.  So each sequence gets exactly
+    the bits of a one-row call.  The energy is the sum of squares that
+    ``lhs`` already takes, on the zero-extended row.
     """
     d = _cached_dissipation(stencil)
     r, p = stencil.r, stencil.p
     pad = r + p
-    n, length = rows.shape
-    # vv holds the rows zero-extended by pad cells each side; the stencil
-    # reads r more zeros left and p more right of them
-    ext = np.zeros((n, length + 2 * pad + r + p))
-    vv = ext[:, r:ext.shape[1] - p]
-    vv[:, pad:pad + length] = rows
+    seqs = list(rows)
+    n = len(seqs)
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    widths, starts = np.unique(lengths + 2 * pad, return_index=True)
+    groups = list(zip(starts.tolist(), starts[1:].tolist() + [n],
+                      widths.tolist()))
+    # vv holds the rows zero-extended by pad cells each side, padded with
+    # zeros to the longest; the stencil reads r more zeros left and p right
+    width = int(widths[-1])
+    ext = np.zeros((n, width + r + p))
+    vv = ext[:, r:r + width]
+    live = np.arange(lengths[-1]) < lengths[:, None]
+    vv[:, pad:pad + lengths[-1]][live] = np.concatenate(
+        [seqs[i] for i in order.tolist()])
+
+    def sums(x: np.ndarray, trim: int = 0) -> np.ndarray:
+        # each row over its own width, less the trimmed cells
+        out = np.empty(n)
+        for a, b, w in groups:
+            out[a:b] = np.add.reduce(x[a:b, :w - trim], axis=1)
+        return out
+
     stepped = np.empty(vv.shape)
     _next_level(stencil.coeff_array, ext.T, stepped.T)
-    squares = np.sum(vv * vv, axis=1)
-    lhs = dx * (np.sum(stepped * stepped, axis=1) - squares)
+    squares = sums(vv * vv)
+    lhs = dx * (sums(stepped * stepped) - squares)
 
     rhs = np.zeros(n)
     for k, dk in enumerate(d, start=1):
         diffs = vv[:, k:] - vv[:, :-k]
-        rhs += float(dk) * dx * np.sum(diffs * diffs, axis=1)
-    return lhs, rhs, np.abs(lhs - rhs), dx * squares
+        rhs += float(dk) * dx * sums(diffs * diffs, k)
+    back = np.empty(n, dtype=np.intp)
+    back[order] = np.arange(n)
+    return (lhs[back], rhs[back], np.abs(lhs - rhs)[back],
+            (dx * squares)[back])
 
 
 def verify_energy_balance(stencil: SchemeStencil, test_sequence,
@@ -158,8 +185,8 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     The two agree to rounding because the telescoping form cancels on the
     whole line.  The step is taken by the march's stencil kernel on the
     zero-extended sequence, through the row kernel that ``energy-check``
-    runs on its batches of equal-length sequences, so a sequence gets the
-    same bits alone or in a batch; ``d`` is computed once per stencil and
+    runs on its chunks of sequences, so a sequence gets the same bits
+    alone or in a chunk; ``d`` is computed once per stencil and
     reused by later calls.  An l2-stable stencil must show a nonpositive
     ``rhs``, up to 1e-12 of ``max(1, dx * sum_j v_j^2)``, the sequence
     energy that the kernel sums for ``lhs``; a violation raises, since it
@@ -174,7 +201,7 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     if not (dx > 0 and math.isfinite(dx)):
         raise ValueError("dx must be positive and finite")
     lhs, rhs, residual, energy = (float(x[0]) for x in
-                                  _balance_rows(stencil, v[None, :], dx))
+                                  _balance_rows(stencil, [v], dx))
     scale = max(1.0, energy)
     if check_l2_stability(stencil).is_stable and rhs > 1e-12 * scale:
         raise AssertionError(

@@ -49,8 +49,10 @@ statistic; both statistics are always emitted so the choice stays visible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,6 +88,14 @@ _BLOCK_ENTRIES = 2 ** 15
 # under those kernels.
 _CORRELATE_WIDTH = 11
 
+# Most cell updates, ``N * (J + r + p)``, that one march may take, a level
+# of fewer than ``_STEP_CELLS`` cells counted as that many: a step costs
+# about two microseconds of Python however short its level, a cell about a
+# nanosecond.  So the cap is a march of about two minutes; the largest run
+# of the ``refine`` benchmark takes 4.7e6 cell updates.
+_MAX_CELL_UPDATES = 2 ** 37
+_STEP_CELLS = 2 ** 11
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -104,6 +114,14 @@ class GridSpec:
         object.__setattr__(self, "J", J)
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("time-step ratio must be positive and finite")
+        if not self.L / J >= sys.float_info.min:
+            # a subnormal or zero width has no relative precision left,
+            # and a cell average would divide by it
+            raise ValueError(f"cell width L / J = {self.L / J!r} is too "
+                             "small: not a positive normal float")
+        if not math.isfinite(self.dt):
+            raise ValueError("time step dt = lambda * L / J overflows "
+                             f"(lambda = {self.lam!r})")
 
     @property
     def dx(self) -> float:
@@ -363,7 +381,8 @@ def _next_level(coeffs: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
     vectors in exactly that order, under every kernel tried; it is the one
     BLAS call left on a pinned path.  Wider stencils and 2-D levels (one
     level per column) take the loop, one multiply-add per offset into one
-    buffer.
+    buffer.  Like the BLAS dot, the loop raises no floating-point warning:
+    a level that overflows shows it in its values.
     """
     if v.ndim == 1 and len(coeffs) <= _CORRELATE_WIDTH:
         out[:] = np.correlate(v, coeffs, "valid")
@@ -371,9 +390,10 @@ def _next_level(coeffs: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
     m = len(out)
     out[:] = 0.0
     tmp = np.empty_like(out)
-    for i, c in enumerate(coeffs.tolist()):
-        np.multiply(v[i:i + m], c, out=tmp)
-        out += tmp
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, c in enumerate(coeffs.tolist()):
+            np.multiply(v[i:i + m], c, out=tmp)
+            out += tmp
 
 
 def step(state: FieldState, stencil: SchemeStencil, bc: BoundarySpec,
@@ -423,11 +443,12 @@ def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
     levels = list(block)
     # the interior of the row each level's successor is written into
     successors = [row[r:end] for row in levels[1:] + levels[:1]]
-    g = [None] * (N + 1) if sources is None else sources.tolist()
+    # each level's outflow sources, or none
+    g = iter(sources.tolist()) if sources is not None else repeat(None)
     k = n0 = 0  # row of level n, first level not yet observed
     for n in range(N):
         level = levels[k]
-        _fill_outflow(level, taps, g[n])
+        _fill_outflow(level, taps, next(g))
         if k + 1 == rows and observe is not None:  # the block is full
             observe(n0, block)
             n0 = n + 1
@@ -437,7 +458,7 @@ def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
             successors[k][...] = np.correlate(level, coeffs, "valid")
         k = k + 1 if k + 1 < rows else 0
     level = levels[k]
-    _fill_outflow(level, taps, g[N])
+    _fill_outflow(level, taps, next(g))
     if observe is not None:
         observe(n0, block[:k + 1])
     return level[r:end].copy()
@@ -502,6 +523,26 @@ def n_steps(T: float, dt: float) -> int:
     return max(0, math.ceil(ratio - 1e-9))
 
 
+def _check_march(N: int, grid: GridSpec, stencil: SchemeStencil) -> None:
+    """Refuse a march of ``N`` steps, before any of its arrays is made,
+    whose ``N * (J + r + p)`` cell updates (at least ``_STEP_CELLS`` a
+    step) exceed ``_MAX_CELL_UPDATES``, or whose datum moves more than
+    ``2**40`` cells: the shifted cell edges of its reference values would
+    then keep too few bits of their width, or none."""
+    updates = N * max(grid.J + stencil.r + stencil.p, _STEP_CELLS)
+    if updates > _MAX_CELL_UPDATES:
+        raise ValueError(
+            f"time step dt = {grid.dt!r} is too small: {N} steps of "
+            f"{grid.J} cells count as {updates:.3g} cell updates, more "
+            f"than the cap of {_MAX_CELL_UPDATES:.3g}")
+    cells = stencil.velocity_a * stencil.lam * N  # a t / dx at the end
+    if not cells <= 2.0 ** 40:
+        raise ValueError(
+            f"velocity {stencil.velocity_a!r} times lambda "
+            f"{stencil.lam!r} moves the datum {cells:.3g} cells in {N} "
+            "steps, more than 2**40")
+
+
 @dataclass
 class RunResult:
     """Outcome of an interval run; history fields depend on the record mode.
@@ -548,6 +589,7 @@ def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
         raise ValueError(f"unknown convention {convention!r}")
     _check_ratio(grid, stencil)
     N = n_steps(T, grid.dt)
+    _check_march(N, grid, stencil)
     state = initial_state(datum, grid, stencil, convention)
     r, J = stencil.r, grid.J
 
@@ -747,6 +789,7 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     _check_ratio(grid, stencil)
+    _check_march(steps, grid, stencil)
     r, p = stencil.r, stencil.p
     if grid.J < r + kb:
         raise ValueError(f"window of {grid.J} cells cannot expose the "

@@ -23,9 +23,15 @@ Spitzer, Math. Scand. 8, 1960); this scales each band ``a_l`` by
 (one-sided stencils) returns its diagonal.  ``radius_condition`` gives the
 condition number of the largest eigenvalue of the matrix actually solved,
 so a radius that has stopped converging is labelled rather than hidden.
+Both take the balanced copy from private helpers, so a caller that wants
+the radius and its condition (``spectral`` on the command line) balances
+each matrix once; the radius still comes from ``eigvals``, not from the
+``eig`` the condition needs, which would move some radii in their last
+bits.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +87,9 @@ def assemble_transition_matrix(J: int, stencil: SchemeStencil,
     sits in the interior rows of one zeroed level of ``r + J + p`` rows,
     ``boundary._fill_outflow`` fills its outflow rows and
     ``solver._next_level`` applies the stencil to all its columns at once,
-    so every entry has the bits of the march.
+    so every entry has the bits of the march.  A matrix whose entries, or
+    ``J`` times them, pass the float range is refused: its norm could
+    overflow.
     """
     weights = extrapolation_weights(kb)
     J = _integer(J, "cell count J")
@@ -96,6 +104,11 @@ def assemble_transition_matrix(J: int, stencil: SchemeStencil,
     _fill_outflow(level, _outflow_taps(r + J, p, weights), None)
     A = np.empty((J, J))
     _next_level(stencil.coeff_array, level, A)
+    # J times the largest entry bounds the norm and every eigenvalue
+    if not np.max(np.abs(A)) <= sys.float_info.max / J:
+        raise ValueError("the transition matrix leaves the float range: "
+                         "the stencil coefficients times the outflow "
+                         "closure's weights overflow, or J times them does")
     return TransitionMatrix(J=J, entries=A)
 
 
@@ -174,6 +187,45 @@ def _balanced(A: np.ndarray) -> np.ndarray | None:
     return B
 
 
+def _eigenvalues(A: np.ndarray, B: np.ndarray | None) -> np.ndarray:
+    """The eigenvalues of ``A`` from its balanced copy ``B``
+    (``_balanced(A)``): the diagonal of ``A`` when ``B`` is None."""
+    if B is None:
+        # one-sided stencils: the spectrum is the diagonal, exactly; a
+        # solver would trade that for Jordan-block sensitivity
+        return np.diag(A).astype(complex)
+    vals = _lapack("eigenvalue computation", np.linalg.eigvals, B)
+    return vals.astype(complex)
+
+
+def _condition(B: np.ndarray | None) -> float:
+    """``radius_condition`` of the matrix whose balanced copy is ``B``."""
+    if B is None:
+        return 1.0
+    vals, right = _lapack("eigenvalue computation", np.linalg.eig, B)
+    j = int(np.argmax(np.abs(vals)))
+    # row j of right^-1 is the left eigenvector scaled to y^H x = 1; with a
+    # unit x, its length is 1 / |y^H x| for the unit y
+    left = _lapack("eigenvalue computation", np.linalg.solve, right.T,
+                   np.eye(len(vals))[j])
+    with np.errstate(over="ignore"):  # inf: no condition left to measure
+        return float(np.linalg.norm(left))
+
+
+def _radius(eigs: np.ndarray) -> float:
+    return float(np.max(np.abs(eigs))) if len(eigs) else 0.0
+
+
+def _radius_and_condition(matrix) -> tuple[float, float]:
+    """``spectral_radius`` and ``radius_condition`` of ``matrix``, with the
+    same bits, from one balanced copy.  The radius keeps ``eigvals``: the
+    largest modulus of the ``eig`` that the condition needs differed from
+    it in the last bits for some matrices of 160 cells or more."""
+    A = _entries(matrix)
+    B = _balanced(A)
+    return _radius(_eigenvalues(A, B)), _condition(B)
+
+
 def eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues: the diagonal of a triangular input, exactly, and
     LAPACK's eigenvalues of the balanced similar copy of any other.
@@ -185,13 +237,7 @@ def eigenvalues(matrix) -> np.ndarray:
     A LAPACK failure is raised as ConvergenceError.
     """
     A = _entries(matrix)
-    B = _balanced(A)
-    if B is None:
-        # one-sided stencils: the spectrum is the diagonal, exactly; a
-        # solver would trade that for Jordan-block sensitivity
-        return np.diag(A).astype(complex)
-    vals = _lapack("eigenvalue computation", np.linalg.eigvals, B)
-    return vals.astype(complex)
+    return _eigenvalues(A, _balanced(A))
 
 
 def radius_condition(matrix) -> float:
@@ -205,16 +251,7 @@ def radius_condition(matrix) -> float:
     marks a radius that has stopped converging.  A LAPACK failure is raised
     as ConvergenceError.
     """
-    B = _balanced(_entries(matrix))
-    if B is None:
-        return 1.0
-    vals, right = _lapack("eigenvalue computation", np.linalg.eig, B)
-    j = int(np.argmax(np.abs(vals)))
-    # row j of right^-1 is the left eigenvector scaled to y^H x = 1; with a
-    # unit x, its length is 1 / |y^H x| for the unit y
-    left = _lapack("eigenvalue computation", np.linalg.solve, right.T,
-                   np.eye(len(vals))[j])
-    return float(np.linalg.norm(left))
+    return _condition(_balanced(_entries(matrix)))
 
 
 def spectral_radius(matrix) -> float:
@@ -222,10 +259,7 @@ def spectral_radius(matrix) -> float:
     path of ``eigenvalues``; ``radius_condition`` gives its condition
     number.
     """
-    eigs = eigenvalues(matrix)
-    if len(eigs) == 0:
-        return 0.0
-    return float(np.max(np.abs(eigs)))
+    return _radius(eigenvalues(matrix))
 
 
 def _singular_values(B: np.ndarray) -> np.ndarray:

@@ -557,3 +557,58 @@ def test_floats_render_with_repr(capsys):
     grid = GridSpec(L=1.0, J=4, lam=0.7)
     datum = PowerPlusDatum(0.5, 3.0)
     assert first[1] == repr(float(datum(grid.cell_midpoints[0])))
+
+
+@pytest.mark.parametrize("argv, named", [
+    # dx = L / J underflows to 0.0; the cell average would divide by it
+    (["run", "--scheme", "lax_friedrichs", "--a", "0.7", "--J", "2", "--T",
+      "0", "--L", "5e-324", "--datum", "u02", "--convention",
+      "cell_average"], "L / J"),
+    # (L - c)^3 overflows in the reference values
+    (["run", "--scheme", "upwind", "--J", "7", "--T", "1", "--L", "1e308"],
+     "--L"),
+    (["convergence", "--scheme", "upwind", "--J-list", "7", "--T", "1",
+      "--L", "1e308"], "--L"),
+    (["run", "--J", "7", "--L", "1e200", "--convention", "cell_average"],
+     "--L"),
+    # about 2.9e14 steps: their list alone does not fit in memory
+    (["run", "--scheme", "lax_friedrichs", "--a", "0.5", "--lambda", "1e-13",
+      "--J", "40", "--L", "0.7"], "dt"),
+    (["convergence", "--J-list", "2,5", "--L", "1e-13"], "dt"),
+    # a coefficient of 1e308 times the kb = 2 closure's weight 2
+    (["spectral", "--scheme", "r=1,p=1,a=-1:0.65,0:0.0,1:1e308;vel=1.0;"
+      "lambda=0.3", "--J", "10", "--kb", "2"], "transition matrix"),
+], ids=["underflowing_dx", "overflowing_reference_run",
+        "overflowing_reference_convergence", "overflowing_antiderivative",
+        "tiny_time_step_run", "tiny_time_step_convergence",
+        "overflowing_transition_matrix"])
+def test_inputs_beyond_the_float_range_are_refused(argv, named, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--scheme", "r=1,p=1,a=-1:0.855,0:1e308,1:-0.045;vel=1.0;"
+     "lambda=0.9", "--J", "10", "--T", "1"],
+    ["convergence", "--scheme", "r=1,p=2,a=-1:-0.1,0:1e308,1:1,2:0.25;"
+     "vel=2;lambda=0.7", "--J-list", "3,10", "--kb", "0", "--T", "1"],
+    # twelve coefficients: the march steps by its loop, not np.correlate
+    ["convergence", "--scheme", "r=6,p=5,a=-6:0.25,-5:-0.1,-4:0.5,-3:-0.1,"
+     "-2:1e300,-1:3,0:0.25,1:1e-300,2:-3,3:0.25,4:1e300,5:1;vel=2;"
+     "lambda=0.7", "--J-list", "3", "--kb", "2", "--L", "2", "--datum",
+     "power:0:2"],
+], ids=["run", "convergence", "convergence_wide"])
+def test_a_march_that_overflows_fails_its_check(argv, capsys):
+    # the values pass 1e308 within a few steps; inf and nan are not printed,
+    # and neither kernel of the march warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("numerical check failed: the march left the "
+                            "float range\n")

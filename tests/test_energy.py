@@ -330,3 +330,19 @@ def test_balance_rows_are_bit_exact_per_row(width):
                                     single):
                 assert _same_bits(float(got), a), (width, length, i)
                 assert _same_bits(a, b) and _same_bits(b, c), (width, length)
+    # one ragged call: lengths 0..40 shuffled, most repeated, some once
+    lengths = list(range(41)) + list(range(0, 41, 3)) * 2
+    rng.shuffle(lengths)
+    seqs = []
+    for length in lengths:
+        v = rng.uniform(-1.0, 1.0, length)
+        v[rng.random(length) < 0.3] = -0.0
+        v[rng.random(length) < 0.15] = 0.0
+        seqs.append(v)
+    seqs[lengths.index(7)][:] = -0.0
+    batch = energy._balance_rows(st, seqs, 0.37)
+    for i, v in enumerate(seqs):
+        one = [float(x[0]) for x in energy._balance_rows(st, [v], 0.37)]
+        got = [float(x[i]) for x in batch]
+        assert all(map(_same_bits, got, one)), (width, len(v), i)
+        assert all(map(_same_bits, one, _plain_balance(st, v, 0.37)))

@@ -78,6 +78,45 @@ def test_n_steps_rejects_a_vanishing_time_step():
             n_steps(T, dt)
 
 
+def test_grid_refuses_a_cell_width_below_the_normal_floats():
+    tiny = np.finfo(float).tiny
+    assert GridSpec(L=2 * tiny, J=2, lam=0.7).dx == tiny
+    for L, J in ((5e-324, 2), (tiny, 2), (1e-300, 10 ** 9)):
+        with pytest.raises(ValueError, match="L / J"):
+            GridSpec(L=L, J=J, lam=0.7)
+    with pytest.raises(ValueError, match="dt = "):
+        GridSpec(L=1e308, J=1, lam=2.0)
+
+
+def test_march_whose_datum_moves_past_2_to_the_40_cells_is_refused():
+    # a t / dx = 1e308 * 0.5 * 5: the shifted cell edges would lose their
+    # width, and the cell averages divide by it
+    fast = SchemeStencil(r=0, p=2, coeffs=(1.0, 0.25, 0.25),
+                         velocity_a=1e308, lam=0.5)
+    grid = GridSpec(L=1.0, J=5, lam=0.5)
+    with pytest.raises(ValueError, match="2\\*\\*40"):
+        run_interval(PowerPlusDatum(0.2, 1.5), grid, fast, BoundarySpec(3),
+                     0.5, convention="cell_average")
+
+
+def test_march_of_too_many_cell_updates_is_refused():
+    # about 1.2e16 cell updates at J = 40; refused before any array is made
+    lf = make_builtin("lax_friedrichs", 0.5, 1e-13)
+    grid = GridSpec(L=0.7, J=40, lam=1e-13)
+    with pytest.raises(ValueError, match="dt = "):
+        run_interval(PowerPlusDatum(0.5, 3.0), grid, lf, BoundarySpec(1),
+                     0.5)
+    # a level counts as at least _STEP_CELLS cells, whatever its length
+    grid = GridSpec(L=1.0, J=1, lam=0.7)
+    steps = solver._MAX_CELL_UPDATES // solver._STEP_CELLS + 1
+    with pytest.raises(ValueError, match="cell updates"):
+        run_halfline_outflow(_bump(0.9), GridSpec(L=1.0, J=4, lam=0.7),
+                             make_builtin("upwind", 1.0, 0.7), 1, steps)
+    with pytest.raises(ValueError, match="cell updates"):
+        run_interval(PowerPlusDatum(0.5, 3.0), grid, LW, BoundarySpec(0),
+                     steps * grid.dt)
+
+
 def test_non_finite_inputs_rejected():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):

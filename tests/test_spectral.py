@@ -409,3 +409,33 @@ def test_operator_norm_of_matrices_with_kernels():
         assert math.isfinite(spectral_radius(A))
         assert operator_norm_l2(K) == pytest.approx(2.0, rel=1e-12)
         assert operator_norm_l2(np.zeros((4, 4))) == 0.0
+
+
+@pytest.mark.parametrize("name", ["upwind", "lax_friedrichs", "lax_wendroff"])
+def test_cli_radius_and_condition_have_the_public_bits(name, monkeypatch,
+                                                       capsys):
+    # the command balances each matrix once for both numbers; they must
+    # keep the bits of the public functions, which balance it each
+    from transportbc import cli
+    seen = []
+
+    def recorded(matrix):
+        got = spectral._radius_and_condition(matrix)
+        seen.append((matrix, got))
+        return got
+    monkeypatch.setattr(cli, "_radius_and_condition", recorded)
+    Js, kbs = (20, 40, 80, 160, 320), (0, 1, 2, 3)
+    assert cli.main(["spectral", "--scheme", name,
+                     "--J-list", ",".join(map(str, Js)),
+                     "--kb", ",".join(map(str, kbs))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    conditions = next(ln for ln in lines
+                      if ln.startswith("# rho_condition_J_kb="))
+    conditions = conditions.split("=", 1)[1].split(",")
+    assert len(seen) == len(rows) == len(conditions) == len(Js) * len(kbs)
+    for (matrix, (rho, condition)), row, cond in zip(seen, rows, conditions):
+        assert rho == spectral_radius(matrix)
+        assert condition == radius_condition(matrix)
+        J, kb = row[:2]
+        assert row[2] == repr(rho) and cond == f"{J}:{kb}:{condition:.1e}"
