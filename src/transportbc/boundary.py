@@ -14,10 +14,10 @@ a right Dirichlet condition).  The ghosts are resolved left to right so each
 one may consume those already filled.  The closure is written once: the
 integer weights of ``extrapolation_weights``, their taps (the position and
 weight of each term, ``_outflow_taps``) and the left-to-right recursion of
-``_fill_outflow`` that applies the taps.  The ghost fill here, the solver's
-time march (which builds its taps once) and the transition-matrix assembly
-(which fills the ghosts of all unit levels at once, one per column) all run
-that one recursion.  ``extrapolation_weights`` checks every closure's order.
+``_fill_outflow`` that applies the taps.  Its two users are the
+``FieldState`` fill here and the solver's time march, which builds its taps
+once (the transition matrix is one step of it from the identity, one level
+per column).  ``extrapolation_weights`` checks every closure's order.
 """
 from __future__ import annotations
 

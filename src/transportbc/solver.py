@@ -14,15 +14,16 @@ Two state semantics are supported throughout and selected by ``convention``:
 - ``"cell_average"``: cell values are exact cell averages, errors are measured
   against exact averages of the shifted datum.
 
-Both runs share one march over a block buffer of at most
-``_BLOCK_ENTRIES`` cells, one row per time level.  The march builds its
-row views and outflow taps once, so a step is one ghost fill from the taps
-and one ``np.correlate`` of the level with the stencil, written straight
-into the next row.  ``np.correlate`` takes each cell as one BLAS dot,
-which sums in order from zero only for short vectors, so stencils wider
-than ``_CORRELATE_WIDTH`` keep the ordered loop of ``_next_level``, the
-package's only stencil sum (the transition matrix and the energy balance
-step with it too); either way every level has the bits of that loop.
+Both runs, and the transition matrix, share one march over a block
+buffer of at most ``_BLOCK_ENTRIES`` entries, one row per time level.
+The march lays the initial interior between its ghosts and builds its row
+views and outflow taps once, so a step is one ghost fill from the taps and
+one ``np.correlate`` of the level with the stencil, written straight into
+the next row: numpy's own loop, summed in order from zero, for up to
+``_CORRELATE_WIDTH`` coefficients.  Wider stencils and 2-D levels (one
+level per column, as the matrix marches the identity) keep the ordered
+loop of ``_next_level``, the package's only stencil sum (the energy
+balance steps with it too); either way every level has its bits.
 
 Each full block is measured at once by the run's meter, built once per
 run around the evaluator of ``reference_values``, which binds the grid
@@ -76,13 +77,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # cost 4.3% more memory.
 _BLOCK_ENTRIES = 2 ** 15
 
-# Widest stencil applied with ``np.correlate``.  Up to this width its BLAS
-# dot matched the ordered loop bit for bit, signed zeros included, in every
-# random case tried (numpy 2.4, OpenBLAS 0.3.31); from width 12 on it
-# differed in most of them, since longer dots are summed in another order.
-# It is the one BLAS call left on a pinned path, and its bits held under
-# the default OpenBLAS kernel, ``OPENBLAS_CORETYPE=Haswell`` and
-# ``Prescott``, and numpy's AVX-512 loops switched off.
+# Widest stencil applied with ``np.correlate``.  Up to this width numpy
+# runs its own small-kernel loop (on a 2,572-cell level 3.6 us at width 3,
+# below one BLAS call per cell, and 9.6 us at 11; numpy 2.4.6, a 2-vCPU
+# Xeon), which matched the ordered loop bit for bit, signed zeros included,
+# in every random case tried; from 12 on it calls BLAS ``ddot`` per cell
+# (39 us at 12), summed in another order.  So no BLAS runs on the march's
+# path, and its bits held under the default OpenBLAS kernel,
+# ``OPENBLAS_CORETYPE=Haswell`` and ``Prescott``, and no AVX-512 loops.
 # ``tests/test_solver.py::test_march_is_bit_exact_against_scalar_loop``
 # checks both sides of the limit, and ``tests/test_kernels.py`` reruns it
 # under those kernels.
@@ -95,6 +97,13 @@ _CORRELATE_WIDTH = 11
 # of the ``refine`` benchmark takes 4.7e6 cell updates.
 _MAX_CELL_UPDATES = 2 ** 37
 _STEP_CELLS = 2 ** 11
+
+# Most cells, ``J + r + p``, in one level of a run (128 MB).  A run holds
+# a few arrays of a level each (the initial state, two rows of the march,
+# the grid coordinates and the reference values with their temporaries),
+# so the cap keeps it to about a gigabyte, a level of zero steps too; the
+# largest runs of the tests and the benchmark have J = 2560.
+_MAX_LEVEL_CELLS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -377,12 +386,11 @@ def _next_level(coeffs: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
     overlap ``v``.
 
     For a 1-D level of up to ``_CORRELATE_WIDTH`` coefficients this is one
-    ``np.correlate`` (as in ``_march``), whose per-cell BLAS dot sums short
-    vectors in exactly that order, under every kernel tried; it is the one
-    BLAS call left on a pinned path.  Wider stencils and 2-D levels (one
-    level per column) take the loop, one multiply-add per offset into one
-    buffer.  Like the BLAS dot, the loop raises no floating-point warning:
-    a level that overflows shows it in its values.
+    ``np.correlate`` (as in ``_march``), numpy's small-kernel loop, which
+    sums in exactly that order and calls no BLAS.  Wider stencils and 2-D
+    levels (one level per column) take the loop, one multiply-add per
+    offset into one buffer.  Like ``np.correlate``, the loop raises no
+    floating-point warning: a level that overflows shows it in its values.
     """
     if v.ndim == 1 and len(coeffs) <= _CORRELATE_WIDTH:
         out[:] = np.correlate(v, coeffs, "valid")
@@ -411,35 +419,37 @@ def step(state: FieldState, stencil: SchemeStencil, bc: BoundarySpec,
     return new
 
 
-def _march(v: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
+def _march(u: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
            observe: Callable[[int, np.ndarray], None] | None = None,
            sources: np.ndarray | None = None) -> np.ndarray:
-    """Advance the level array ``v`` (cells ``1-r..J+p``, zero inflow
-    ghosts) by ``N`` steps and return the last level's interior.
+    """Advance the interior ``u`` (cells ``1..J``; a 2-D ``u`` holds one
+    level per column) by ``N`` steps and return the last level's interior.
 
     The levels are the rows of one zeroed block buffer of at least two
-    rows; its row views and the outflow taps are built once.  A step fills
-    its level's outflow ghosts from the taps (and ``sources[n]``, when
-    given), then writes the next interior (``np.correlate``, or the loop
-    of ``_next_level`` on a wider stencil) straight into the next row,
-    wrapping to the first when the block is full.  So the inflow ghosts
-    stay zero and no level is copied; the last level's ghosts are filled
-    too.  ``observe(n0, levels)`` receives the rows of levels
-    ``n0, n0+1, ...`` in blocks of at most ``_BLOCK_ENTRIES`` cells,
-    before they are overwritten; without it two rows alternate.
+    rows, ``u`` in the first; its row views and the outflow taps are built
+    once.  A step fills its level's outflow ghosts from the taps (and
+    ``sources[n]``, when given), then writes the next interior
+    (``np.correlate``, or the loop of ``_next_level`` on a wider stencil or
+    a 2-D level) straight into the next row, wrapping to the first when the
+    block is full.  So the inflow ghosts stay zero and no level is copied;
+    the last level's ghosts are filled too.  ``observe(n0, levels)``
+    receives the rows of levels ``n0, n0+1, ...`` in blocks of at most
+    ``_BLOCK_ENTRIES`` entries, before they are overwritten; without it
+    two rows alternate.
     """
     r, p = stencil.r, stencil.p
-    end = len(v) - p  # array position of the first outflow ghost
+    end = r + len(u)  # array position of the first outflow ghost
     taps = _outflow_taps(end, p, extrapolation_weights(kb))
-    if end - r < kb:  # every level's ghosts are filled, the last one too
+    if len(u) < kb:  # every level's ghosts are filled, the last one too
         raise ValueError("grid too small for the requested boundary closure")
     coeffs = stencil.coeff_array
-    wide = len(coeffs) > _CORRELATE_WIDTH
+    wide = u.ndim > 1 or len(coeffs) > _CORRELATE_WIDTH
+    shape = (end + p,) + u.shape[1:]
     rows = 2
     if observe is not None:
-        rows = max(2, min(N + 1, _BLOCK_ENTRIES // len(v)))
-    block = np.zeros((rows, len(v)))
-    block[0] = v
+        rows = max(2, min(N + 1, _BLOCK_ENTRIES // math.prod(shape)))
+    block = np.zeros((rows,) + shape)
+    block[0, r:end] = u
     levels = list(block)
     # the interior of the row each level's successor is written into
     successors = [row[r:end] for row in levels[1:] + levels[:1]]
@@ -525,11 +535,17 @@ def n_steps(T: float, dt: float) -> int:
 
 def _check_march(N: int, grid: GridSpec, stencil: SchemeStencil) -> None:
     """Refuse a march of ``N`` steps, before any of its arrays is made,
-    whose ``N * (J + r + p)`` cell updates (at least ``_STEP_CELLS`` a
-    step) exceed ``_MAX_CELL_UPDATES``, or whose datum moves more than
-    ``2**40`` cells: the shifted cell edges of its reference values would
-    then keep too few bits of their width, or none."""
-    updates = N * max(grid.J + stencil.r + stencil.p, _STEP_CELLS)
+    whose level of ``J + r + p`` cells exceeds ``_MAX_LEVEL_CELLS``, whose
+    ``N * (J + r + p)`` cell updates (at least ``_STEP_CELLS`` a step)
+    exceed ``_MAX_CELL_UPDATES``, or whose datum moves more than ``2**40``
+    cells: the shifted cell edges of its reference values would then keep
+    too few bits of their width, or none."""
+    width = grid.J + stencil.r + stencil.p
+    if width > _MAX_LEVEL_CELLS:
+        raise ValueError(
+            f"J = {grid.J} is too large: a level of {width:.3g} cells is "
+            f"more than the cap of {_MAX_LEVEL_CELLS:.3g}")
+    updates = N * max(width, _STEP_CELLS)
     if updates > _MAX_CELL_UPDATES:
         raise ValueError(
             f"time step dt = {grid.dt!r} is too small: {N} steps of "
@@ -607,7 +623,7 @@ def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
         if history is not None:
             history[n0:n1] = u
 
-    final = _march(state.values, stencil, bc.outflow_order_kb, N,
+    final = _march(state.interior, stencil, bc.outflow_order_kb, N,
                    observe if track else None)
     return RunResult(grid=grid, stencil=stencil, bc=bc, datum=datum,
                      convention=convention, record=record, n_steps=N,
@@ -811,8 +827,7 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
             raise ValueError(f"sources must have shape ({steps + 1}, {p})")
 
     dx = grid.dx
-    state = initial_state(datum, grid, stencil, convention)
-    f0 = state.interior.copy()
+    f0 = initial_state(datum, grid, stencil, convention).interior
 
     lo = grid.J - kb  # array position of cell J+1-r-kb
     n_trace = r + kb + p
@@ -832,8 +847,7 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
         energies[n0:n1] = dx * _sum_squares(u)
         measure(u, n0, linf_hist[n0:n1], l2_hist[n0:n1])
 
-    final = _march(state.values, stencil, kb, steps, observe,
-                   sources=sources)
+    final = _march(f0, stencil, kb, steps, observe, sources=sources)
     return HalflineResult(grid=grid, stencil=stencil, kb=kb, steps=steps,
                           convention=convention, final_state=final,
                           initial_interior=f0, traces=traces, masses=masses,

@@ -3,9 +3,8 @@ r"""One-step transition matrices and their spectral diagnostics.
 Eliminating the ghost cells of the interval scheme turns one time step into
 a dense ``J x J`` matrix: banded Toeplitz in the interior, perturbed in the
 last rows where the outflow extrapolation folds ghost values back onto
-interior cells.  Its column ``k`` is one march step of the unit level
-``e_k``, all columns at once through the march's own ghost fill and
-stencil kernel, so the matrix has the stepper's bits.  This module
+interior cells.  It is one step of the solver's march from the identity,
+one unit level per column, so it has the stepper's bits.  This module
 assembles that matrix and measures it: spectral radius, l2-induced
 norm, norms of matrix powers, and smallest-singular-value grids for
 pseudospectra.  The dense kernels are numpy's LAPACK; a LAPACK
@@ -36,15 +35,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (_fill_outflow, _outflow_taps,
-                       extrapolation_weights)
+from .boundary import extrapolation_weights
 from .scheme import SchemeStencil
-from .solver import _next_level
+from .solver import _march
 from .state import _integer
 
 # Complex entries in one stacked SVD of the pseudospectrum grid (16 MB): a
 # whole row of shifts at moderate J, fewer shifts per stack at large J.
 _STACK_ENTRIES = 2 ** 20
+
+# Most entries, ``J * (J + r + p)``, in one level of the march that
+# assembles a transition matrix (128 MB, J about 4096).  The march holds
+# two such levels and the matrix, and ``spectral --J 4000`` already runs
+# for more than a minute; the acceptance sweeps go to J = 1280.
+_MAX_MATRIX_ENTRIES = 2 ** 24
 
 # Cap on ``n_max * J^3`` in ``power_norm_envelope``: one matrix product and
 # one SVD per power, so the cap bounds its flops.
@@ -84,14 +88,12 @@ def assemble_transition_matrix(J: int, stencil: SchemeStencil,
     """The one-step map of the march, one column per interior cell.
 
     Column ``k`` is one march step of the unit level ``e_k``: the identity
-    sits in the interior rows of one zeroed level of ``r + J + p`` rows,
-    ``boundary._fill_outflow`` fills its outflow rows and
-    ``solver._next_level`` applies the stencil to all its columns at once,
-    so every entry has the bits of the march.  A matrix whose entries, or
-    ``J`` times them, pass the float range is refused: its norm could
-    overflow.
+    marches one step, one level per column, so every entry has the bits of
+    the march.  A level of more than ``_MAX_MATRIX_ENTRIES`` entries is
+    refused before any array is made, and a matrix whose entries, or ``J``
+    times them, pass the float range after: its norm could overflow.
     """
-    weights = extrapolation_weights(kb)
+    extrapolation_weights(kb)  # refuses a non-integer or negative order
     J = _integer(J, "cell count J")
     r, p = stencil.r, stencil.p
     if J < max(r, p, kb) + 1:
@@ -99,11 +101,14 @@ def assemble_transition_matrix(J: int, stencil: SchemeStencil,
             f"J={J} cannot express the ghost closures in interior cells "
             f"(need J >= {max(r, p, kb) + 1})"
         )
-    level = np.zeros((r + J + p, J))
-    level[r:r + J] = np.eye(J)
-    _fill_outflow(level, _outflow_taps(r + J, p, weights), None)
-    A = np.empty((J, J))
-    _next_level(stencil.coeff_array, level, A)
+    if J * (J + r + p) > _MAX_MATRIX_ENTRIES:
+        raise ValueError(
+            f"J={J} is too large: a level of its transition matrix holds "
+            f"{J * (J + r + p):.3g} entries, more than the cap of "
+            f"{_MAX_MATRIX_ENTRIES:.3g}")
+    # the march also fills the ghosts of A's own level, which may overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = _march(np.eye(J), stencil, kb, 1)
     # J times the largest entry bounds the norm and every eigenvalue
     if not np.max(np.abs(A)) <= sys.float_info.max / J:
         raise ValueError("the transition matrix leaves the float range: "

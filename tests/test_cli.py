@@ -578,10 +578,19 @@ def test_floats_render_with_repr(capsys):
     # a coefficient of 1e308 times the kb = 2 closure's weight 2
     (["spectral", "--scheme", "r=1,p=1,a=-1:0.65,0:0.0,1:1e308;vel=1.0;"
       "lambda=0.3", "--J", "10", "--kb", "2"], "transition matrix"),
+    # a J whose dense matrix, or whose one level, would not fit in memory;
+    # refused before any array is made, zero steps too
+    (["spectral", "--J", "10000000"], "J=10000000"),
+    (["spectral", "--J", "10000000", "--pseudospectrum", "--res", "2"],
+     "J=10000000"),
+    (["run", "--J", "100000000000000", "--T", "0"], "J = 100000000000000"),
+    (["convergence", "--J-list", "100000000000000", "--T", "0"],
+     "J = 100000000000000"),
 ], ids=["underflowing_dx", "overflowing_reference_run",
         "overflowing_reference_convergence", "overflowing_antiderivative",
         "tiny_time_step_run", "tiny_time_step_convergence",
-        "overflowing_transition_matrix"])
+        "overflowing_transition_matrix", "huge_matrix", "huge_pseudospectrum",
+        "huge_run", "huge_convergence"])
 def test_inputs_beyond_the_float_range_are_refused(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -5,8 +5,9 @@ CPU at load time, and numpy dispatches some loops by CPU feature; either
 can change the last bits of a sum.  No pinned sum goes through BLAS, so
 the tests below must pass whatever is picked.  Each setting is run in a
 child pytest with the variable set on the child only, one child at a
-time.  ``np.correlate``, a BLAS dot per cell, is still on the march's
-path; ``test_march_is_bit_exact_against_scalar_loop`` watches it.
+time.  ``np.correlate`` is on the march's path; for the up to 11
+coefficients it is given there it is numpy's own small-kernel loop, not a
+BLAS dot, and ``test_march_is_bit_exact_against_scalar_loop`` watches it.
 """
 import os
 import subprocess
@@ -28,6 +29,8 @@ GATES = [
     "test_solver.py::test_march_is_bit_exact_against_scalar_loop",
     "test_solver.py::test_live_columns_match_full_width_evaluation",
     "test_solver.py::test_wide_block_norms_match_per_row_sums",
+    "test_solver.py::test_identity_march_gives_the_matrix_powers",
+    "test_spectral.py::test_transition_columns_are_bit_exact_march_steps",
     "test_energy.py::test_balance_rows_are_bit_exact_per_row",
     "test_energy.py::test_energy_balance_lhs_is_bit_exact_against_scalar_loop",
     "test_rng.py::test_mixed_draws_match_scalar_stream",

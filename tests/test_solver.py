@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -713,6 +714,47 @@ def test_march_results_do_not_depend_on_block_size(monkeypatch):
         for got, want in zip(arrays(), default):
             assert _bits_equal(got, want), entries
 
+
+
+def _identity_levels(st, kb, J):
+    """The interiors of levels ``0..2J`` of the identity marched as one
+    2-D interior, one level per column, gathered from the observer."""
+    levels = np.empty((2 * J + 1, J, J))
+    n1 = 0
+
+    def observe(n0, block):
+        nonlocal n1
+        assert n0 == n1 and block.shape[1:] == (st.r + J + st.p, J)
+        n1 = n0 + len(block)
+        levels[n0:n1] = block[:, st.r:st.r + J]
+
+    final = solver._march(np.eye(J), st, kb, 2 * J, observe)
+    assert n1 == 2 * J + 1 and _bits_equal(final, levels[-1])
+    return levels
+
+
+def test_identity_march_gives_the_matrix_powers(monkeypatch):
+    # level n of the marched identity is A^n; level 1 is the transition
+    # matrix bit for bit, and no level depends on the block size
+    cases = list(itertools.product(MARCH_STENCILS, range(4), (12, 40)))
+    default = []
+    for st, kb, J in cases:
+        A = assemble_transition_matrix(J, st, kb).entries
+        levels = _identity_levels(st, kb, J)
+        assert _bits_equal(levels[0], np.eye(J))
+        assert _bits_equal(levels[1], A), (st, kb, J)
+        P = np.eye(J)
+        for n in range(1, 2 * J + 1):
+            P = P @ A
+            scale = np.max(np.abs(P))
+            assert np.max(np.abs(levels[n] - P)) <= 1e-12 * scale, \
+                (st, kb, J, n)
+        default.append(levels)
+    for entries in (1, 2 ** 30):
+        monkeypatch.setattr(solver, "_BLOCK_ENTRIES", entries)
+        for (st, kb, J), want in zip(cases, default):
+            assert _bits_equal(_identity_levels(st, kb, J), want), \
+                (entries, st, kb, J)
 
 # -- the march against the scalar loop of _reference.naive_run ---------------
 #
