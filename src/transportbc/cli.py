@@ -30,9 +30,9 @@ from .scheme import (BUILTIN_SCHEMES, SchemeStencil, check_l2_stability,
                      parse_stencil)
 from .solver import (GridSpec, PowerPlusDatum, convergence_study,
                      reference_values, run_interval)
-from .spectral import (ConvergenceError, _radius_and_condition,
-                       assemble_transition_matrix, operator_norm_l2,
-                       pseudospectrum_grid)
+from .spectral import (ENVELOPE_BUDGET, ConvergenceError,
+                       _radius_and_condition, assemble_transition_matrix,
+                       operator_norm_l2, pseudospectrum_grid)
 
 NAMED_DATA = {
     "u01": (0.5, 3.0),
@@ -270,6 +270,9 @@ def cmd_spectral(args) -> int:
             raise ValueError("--pseudospectrum takes a single J and kb")
         J, kb = J_values[0], kbs[0]
         res = _RES if args.res is None else args.res
+        # one dense SVD of a J x J matrix per grid point
+        _check_work(res * res * max(J, 0) ** 3,
+                    f"J={J}, res={res}: res^2 * J^3")
         matrix = assemble_transition_matrix(J, stencil, kb)
         grid = pseudospectrum_grid(matrix, resolution=res)
         header = _config_header(
@@ -280,6 +283,9 @@ def cmd_spectral(args) -> int:
                 for i in range(res) for k in range(res)]
         _emit(args, _csv_lines(header, ["re", "im", "sigma_min"], rows))
         return 0
+    # a few dense eigensolves and an SVD of a J x J matrix per row
+    _check_work(len(kbs) * sum(max(J, 0) ** 3 for J in J_values),
+                f"J={max(J_values)}: len(kb) * sum(J^3)")
     rows = []
     conditions = []
     for kb in kbs:
@@ -298,6 +304,15 @@ def cmd_spectral(args) -> int:
     return 0
 
 
+def _check_work(work: int, what: str) -> None:
+    """Refuse ``spectral`` dense work, counted in units of ``J^3``, past
+    the flop budget that ``power_norm_envelope`` keeps too; ``what``
+    names the sizes and the count."""
+    if work > ENVELOPE_BUDGET:
+        raise ValueError(f"{what} = {work:.2e} exceeds the flop budget "
+                         f"{ENVELOPE_BUDGET:.2e}")
+
+
 def cmd_energy_check(args) -> int:
     stencil = _resolve_stencil(args, enforce_cfl=False)
     if args.trials < 0:
@@ -307,10 +322,11 @@ def cmd_energy_check(args) -> int:
     max_residual = 0.0
     max_rhs = -float("inf")
     for start in range(0, args.trials, _TRIAL_CHUNK):
-        # draw in trial order, then balance the whole chunk in one pass
-        seqs = [gen.symmetric(5 + gen.integer(28))
-                for _ in range(min(_TRIAL_CHUNK, args.trials - start))]
-        _, rhs, residual, energy = _balance_rows(stencil, seqs)
+        # each trial is 5 + integer(28) symmetric values, drawn in trial
+        # order; the whole chunk is balanced in one pass
+        values, lengths = gen.symmetric_runs(
+            min(_TRIAL_CHUNK, args.trials - start), 5, 28)
+        _, rhs, residual, energy = _balance_rows(stencil, values, lengths)
         scale = np.maximum(1.0, energy)
         max_residual = max(max_residual, float(np.max(residual / scale)))
         max_rhs = max(max_rhs, float(np.max(rhs)))

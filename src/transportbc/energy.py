@@ -18,15 +18,17 @@ boundary form: its value on a constant window, the sum of its entries, is
 ``-lambda a``.
 
 The balance itself is computed by one row kernel, ``_balance_rows``, for a
-batch of sequences of any lengths at once; ``verify_energy_balance`` is
-that kernel on one row, and ``energy-check`` runs it once per chunk of
-random trials.  The kernel steps, squares and differences the whole batch
-in one zero-padded array, but sums each row over its own length only:
-numpy's pairwise sum splits a row where its length says, so a sum over the
-padded width would change the bits.  Each row's numbers thus have the same
-bits in any batch, and every sum is numpy's pairwise sum, not BLAS, so
-they keep their bits under any BLAS kernel; each sequence's energy, the
-scale of its checks, is summed once, by the kernel.
+batch of sequences of any lengths at once, given end to end with their
+lengths; ``verify_energy_balance`` is that kernel on one row, and
+``energy-check`` runs it once per chunk of random trials, in the layout
+the generator draws the chunk in.  The kernel steps, squares and
+differences the whole batch in one zero-padded array, but sums each row
+over its own length only: numpy's pairwise sum splits a row where its
+length says, so a sum over the padded width would change the bits.  Each
+row's numbers thus have the same bits in any batch, and every sum is
+numpy's pairwise sum, not BLAS, so they keep their bits under any BLAS
+kernel; each sequence's energy, the scale of its checks, is summed once,
+by the kernel.
 """
 from __future__ import annotations
 
@@ -112,46 +114,51 @@ def _cached_dissipation(stencil: SchemeStencil) -> np.ndarray:
     return d
 
 
-def _balance_rows(stencil: SchemeStencil, rows,
+def _balance_rows(stencil: SchemeStencil, values, lengths,
                   dx: float = 1.0) -> tuple[np.ndarray, np.ndarray,
                                             np.ndarray, np.ndarray]:
     """``(lhs, rhs, residual)`` of :func:`verify_energy_balance`, as arrays,
-    for each of the sequences ``rows`` (1-D, of any lengths; the rows of a
-    2-D array count as such sequences), and each sequence's energy
+    for each of a batch of sequences, and each sequence's energy
     ``dx * sum_j v_j^2``, the scale of its residual.
 
-    The sequences are sorted by length and zero-extended into one 2-D
-    array, which is stepped, squared and differenced once: the step is
-    ``_next_level`` applied to the transposed rows (one ordered
-    multiply-add per offset, which is also what the march's kernel does
-    for a single level), and every entry of a product or difference
-    depends on its own cells alone.  Only the sums are taken per length:
-    each is ``np.add.reduce`` along a row cut to the row's own width,
-    numpy's own pairwise sum (no BLAS), which sums a row as it sums a 1-D
-    sequence of that length; summed over the padded width, the zeros would
-    change where the pairwise sum splits.  So each sequence gets exactly
-    the bits of a one-row call.  The energy is the sum of squares that
-    ``lhs`` already takes, on the zero-extended row.
+    The batch is ragged: ``values`` holds the sequences end to end, and
+    ``lengths`` the length of each, in order; one sequence ``v`` is
+    ``(v, [len(v)])``.  This is the layout that
+    ``Xoshiro256StarStar.symmetric_runs`` draws, so a chunk of random
+    trials is never split into one array per trial.  The sequences are
+    sorted by length and zero-extended into one 2-D array, which is
+    stepped, squared and differenced once: the step is ``_next_level``
+    applied to the transposed rows (one ordered multiply-add per offset,
+    which is also what the march's kernel does for a single level), and
+    every entry of a product or difference depends on its own cells alone.
+    Only the sums are taken per length: each is ``np.add.reduce`` along a
+    row cut to the row's own width, numpy's own pairwise sum (no BLAS),
+    which sums a row as it sums a 1-D sequence of that length; summed over
+    the padded width, the zeros would change where the pairwise sum
+    splits.  So each sequence gets exactly the bits of a one-sequence
+    call.  The energy is the sum of squares that ``lhs`` already takes, on
+    the zero-extended row.
     """
     d = _cached_dissipation(stencil)
     r, p = stencil.r, stencil.p
     pad = r + p
-    seqs = list(rows)
-    n = len(seqs)
-    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    n = len(lengths)
     order = np.argsort(lengths, kind="stable")
-    lengths = lengths[order]
-    widths, starts = np.unique(lengths + 2 * pad, return_index=True)
+    longest = int(lengths.max(initial=0))
+    widths, starts = np.unique(lengths[order] + 2 * pad, return_index=True)
     groups = list(zip(starts.tolist(), starts[1:].tolist() + [n],
                       widths.tolist()))
-    # vv holds the rows zero-extended by pad cells each side, padded with
-    # zeros to the longest; the stencil reads r more zeros left and p right
-    width = int(widths[-1])
+    # the sequences in rows, in their own order, zero-padded to the longest
+    rows = np.zeros((n, longest))
+    rows[np.arange(longest) < lengths[:, None]] = values
+    # vv holds the rows by length, zero-extended by pad cells each side and
+    # padded with zeros to the longest; the stencil reads r more zeros left
+    # and p right
+    width = longest + 2 * pad
     ext = np.zeros((n, width + r + p))
     vv = ext[:, r:r + width]
-    live = np.arange(lengths[-1]) < lengths[:, None]
-    vv[:, pad:pad + lengths[-1]][live] = np.concatenate(
-        [seqs[i] for i in order.tolist()])
+    vv[:, pad:pad + longest] = rows[order]
 
     def sums(x: np.ndarray, trim: int = 0) -> np.ndarray:
         # each row over its own width, less the trimmed cells
@@ -191,7 +198,8 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
     ``rhs``, up to 1e-12 of ``max(1, dx * sum_j v_j^2)``, the sequence
     energy that the kernel sums for ``lhs``; a violation raises, since it
     would mean the split itself is wrong.  The sequence must be
-    finite and ``dx`` positive and finite.
+    finite and ``dx`` positive and finite, and a balance whose squares or
+    sums pass the float range is refused with a ``ValueError``.
     """
     v = np.asarray(test_sequence, dtype=float)
     if v.ndim != 1:
@@ -200,8 +208,14 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
         raise ValueError("test sequence must be finite")
     if not (dx > 0 and math.isfinite(dx)):
         raise ValueError("dx must be positive and finite")
-    lhs, rhs, residual, energy = (float(x[0]) for x in
-                                  _balance_rows(stencil, [v], dx))
+    # the squares and sums may pass the float range: refused, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs, residual, energy = (float(x[0]) for x in
+                                      _balance_rows(stencil, v, [v.size], dx))
+    if not all(map(math.isfinite, (lhs, rhs, residual, energy))):
+        raise ValueError(
+            f"the energy balance of a sequence of length {v.size} at "
+            f"dx={dx!r} leaves the float range")
     scale = max(1.0, energy)
     if check_l2_stability(stencil).is_stable and rhs > 1e-12 * scale:
         raise AssertionError(

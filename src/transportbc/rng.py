@@ -20,10 +20,14 @@ The ``**`` scrambler ``rotl(s1 * 5, 7) * 9`` reads nothing but ``s1``, so
 it runs once per block on the kept words in numpy ``uint64``, whose
 products wrap modulo 2**64 exactly as masking does.  The block's
 ``[0, 1)`` doubles are converted at the same time.  Every draw
-(``next_u64``, ``integer``, ``uniforms``, ``symmetric``) reads the next
-unread outputs of the block, so the stream is the one a scalar generator
-makes, output for output; the state words run ahead of the draws by the
-unread outputs, fewer than a block.
+(``next_u64``, ``integer``, ``uniforms``, ``symmetric``,
+``symmetric_runs``) reads the next unread outputs of the block, so the
+stream is the one a scalar generator makes, output for output; the state
+words run ahead of the draws by the unread outputs.  A refill for a draw
+of ``n`` makes just the blocks it needs, which leaves fewer than a block
+unread.  ``symmetric_runs`` walks many length-and-run draws at once and
+refills before a run that might not fit, so after it fewer than
+``_BLOCK + bound - 1`` are left, ``bound`` being that of its lengths.
 """
 from __future__ import annotations
 
@@ -162,10 +166,72 @@ class Xoshiro256StarStar:
         """Uniform integer in [0, bound) by rejection (unbiased);
         ``bound`` is an integer in ``1..2**64``."""
         bound = operator.index(bound)
-        if not 1 <= bound <= _MASK + 1:
-            raise ValueError("bound must be a positive integer at most 2**64")
-        limit = _MASK - (_MASK + 1) % bound
+        limit = _limit(bound)
         while True:
             u = self.next_u64()
             if u <= limit:
                 return u % bound
+
+    def symmetric_runs(self, count: int, base: int,
+                       bound: int) -> tuple[np.ndarray, np.ndarray]:
+        """``count`` runs of random lengths: the runs' values end to end,
+        and their lengths, as the draws
+        ``[self.symmetric(base + self.integer(bound)) for _ in range(count)]``
+        make them, bit for bit, in one walk over the block.
+
+        Each length word is read where ``integer`` reads it, a word above
+        its rejection limit skipped, and each run is the slice of the
+        block after it.  The block is refilled only when fewer than
+        ``base + bound`` outputs are left, so no run straddles a refill,
+        and then by as many blocks as the remaining runs must read at the
+        least (a length word and ``base`` values each), but one at least.
+        The unread outputs stay in the block for later draws, fewer than
+        ``_BLOCK + bound - 1`` of them.
+        """
+        count = _count(count)
+        base = _count(base)
+        bound = operator.index(bound)
+        limit = _limit(bound)
+        # the most one run reads: its length word and base + bound - 1 values
+        need = base + bound
+        words, pos = self._words, self._pos
+        end = len(words)
+        lengths = []
+        pieces = []
+        # the block indices of the length words read since the last refill
+        low, skips = pos, []
+
+        def cut() -> None:
+            # what was read since the last refill, less its length words
+            pieces.append(np.delete(self._doubles[low:pos],
+                                    np.array(skips, np.intp) - low))
+
+        for left in range(count, 0, -1):
+            while True:
+                if end - pos < need:
+                    cut()
+                    self._pos = pos
+                    least = left * (1 + base) - (end - pos)
+                    self._refill(max(1, -(-least // _BLOCK)))
+                    words, pos, low, skips = self._words, 0, 0, []
+                    end = len(words)
+                u = words[pos]
+                skips.append(pos)
+                pos += 1
+                if u <= limit:
+                    break
+            n = base + u % bound
+            lengths.append(n)
+            pos += n
+        cut()
+        self._pos = pos
+        return (2.0 * np.concatenate(pieces) - 1.0,
+                np.array(lengths, dtype=np.intp))
+
+
+def _limit(bound: int) -> int:
+    """The largest output that ``integer(bound)`` accepts: below the
+    largest multiple of ``bound`` that fits 64 bits."""
+    if not 1 <= bound <= _MASK + 1:
+        raise ValueError("bound must be a positive integer at most 2**64")
+    return _MASK - (_MASK + 1) % bound

@@ -44,6 +44,11 @@ def test_tracer_installs_on_every_target_and_uninstalls(monkeypatch,
         out = tmp_path / "check.txt"
         assert cli.main(["energy-check", "--trials", "3", "--out",
                          str(out)]) == 0
+        # energy-check draws its trials in one symmetric_runs walk, which
+        # the tracer does not wrap, so the wrapped draws are made directly
+        gen = transportbc.Xoshiro256StarStar(0)
+        for _ in range(3):
+            gen.symmetric(5 + gen.integer(28))
         energy.verify_energy_balance(
             transportbc.make_builtin("upwind", 1.0, 0.7), np.ones(3))
     finally:

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -317,6 +318,38 @@ def test_pseudospectrum_grid_output(capsys):
     assert all(float(r[2]) >= 0.0 for r in data)
     assert main(["spectral", "--pseudospectrum", "--J-list", "8,12"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--J", "4000"], "J=4000: len(kb) * sum(J^3) = 6.40e+10"),
+    (["--J", "200", "--pseudospectrum"], "J=200, res=64: res^2 * J^3"),
+    (["--J-list", "1000,800", "--kb", "1,2"], "J=1000: len(kb)"),
+])
+def test_spectral_refuses_work_past_the_flop_budget(argv, named, capsys):
+    # dense work of J^3 per matrix, or per pseudospectrum grid point, is
+    # refused before any matrix is made, so the refusal is quick
+    start = time.perf_counter()
+    assert main(["spectral"] + argv) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "flop budget 2.50e+09" in captured.err
+
+
+def test_spectral_work_within_the_budget_is_run(monkeypatch, capsys):
+    for argv in (["--J", "40", "--kb", "2", "--pseudospectrum", "--res",
+                  "48"], ["--J-list", "20,40", "--kb", "1,2"]):
+        assert main(["spectral"] + argv) == 0
+    capsys.readouterr()
+
+    # the acceptance sweeps' largest J passes the budget and is assembled
+    def assemble(J, stencil, kb):
+        raise ValueError(f"assembling J={J}")
+
+    monkeypatch.setattr(cli, "assemble_transition_matrix", assemble)
+    assert main(["spectral", "--J", "1280"]) == 1
+    assert "assembling J=1280" in capsys.readouterr().err
 
 
 def test_energy_check_stable_scheme(capsys):

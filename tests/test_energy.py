@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +217,22 @@ def test_energy_balance_input_validation():
             verify_energy_balance(st, [0.0, 1.0, 0.5], dx=dx)
 
 
+@pytest.mark.parametrize("seq, dx", [
+    ([1e160, -1e160], 1.0), ([1e308, 1e308], 1.0), ([10.0], 1e308)])
+def test_energy_balance_refuses_the_float_range(seq, dx):
+    # finite inputs whose squares, or dx times them, overflow: refused
+    # with the sizes named, and no overflow warning on the way
+    st = make_builtin("lax-wendroff", 1.0, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                f"length {len(seq)} at dx={dx!r}")):
+            verify_energy_balance(st, seq, dx=dx)
+        # ten orders of magnitude less, the squares stay in range
+        out = verify_energy_balance(st, [1e150, -1e150])
+    assert all(map(math.isfinite, out))
+
+
 def test_energy_balance_dx_scaling():
     st = make_builtin("lax_wendroff", 1.0, 0.7)
     v = np.array([0.0, 1.0, -0.5, 0.25, 0.0])
@@ -320,10 +338,10 @@ def test_balance_rows_are_bit_exact_per_row(width):
         rows[rng.random(rows.shape) < 0.3] = -0.0
         rows[rng.random(rows.shape) < 0.15] = 0.0
         rows[1] = -0.0 if length % 2 else 0.0
-        batch = energy._balance_rows(st, rows, dx)
+        batch = energy._balance_rows(st, rows.ravel(), [length] * 4, dx)
         for i, v in enumerate(rows):
             one = [float(x[0]) for x in
-                   energy._balance_rows(st, rows[i:i + 1], dx)]
+                   energy._balance_rows(st, v, [length], dx)]
             plain = _plain_balance(st, v, dx)
             single = verify_energy_balance(st, v, dx=dx)
             for got, a, b, c in zip((x[i] for x in batch), one, plain,
@@ -340,9 +358,10 @@ def test_balance_rows_are_bit_exact_per_row(width):
         v[rng.random(length) < 0.15] = 0.0
         seqs.append(v)
     seqs[lengths.index(7)][:] = -0.0
-    batch = energy._balance_rows(st, seqs, 0.37)
+    batch = energy._balance_rows(st, np.concatenate(seqs), lengths, 0.37)
     for i, v in enumerate(seqs):
-        one = [float(x[0]) for x in energy._balance_rows(st, [v], 0.37)]
+        one = [float(x[0]) for x in
+               energy._balance_rows(st, v, [len(v)], 0.37)]
         got = [float(x[i]) for x in batch]
         assert all(map(_same_bits, got, one)), (width, len(v), i)
         assert all(map(_same_bits, one, _plain_balance(st, v, 0.37)))

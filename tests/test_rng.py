@@ -132,6 +132,11 @@ def test_draw_arguments_are_validated():
             draw(-2)
         with pytest.raises(TypeError):
             draw(2.0)
+    for args in ((-1, 5, 28), (3, -1, 28)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gen.symmetric_runs(*args)
+    with pytest.raises(ValueError, match="at most 2\\*\\*64"):
+        gen.symmetric_runs(3, 5, 0)
     assert gen._s == state  # a rejected argument draws nothing
     # a non-integer seed is refused, not truncated to one stream for 1.2, 1.7
     for seed in (1.2, 1.7, 7.0, "7", None):
@@ -232,3 +237,45 @@ def test_table_blocks_match_scalar_stream(start):
     # the state has run exactly the 6 blocks made
     made._outputs(6 * _BLOCK)
     assert gen._s == made._s
+
+
+def _rejected_first():
+    """A state whose first output is 2**64 - 1, above ``integer(28)``'s
+    rejection limit: ``s1`` is the scrambler inverted,
+    ``rotr(u * 9^-1, 7) * 5^-1`` modulo 2**64."""
+    x = ONES * pow(9, -1, 2 ** 64) & ONES
+    x = (x >> 7 | x << 57) & ONES
+    return [0, x * pow(5, -1, 2 ** 64) & ONES, 0, 0]
+
+
+BASE, BOUND = 5, 28
+
+
+# with BASE + BOUND - 1 outputs left in its first block, seed 15's next run
+# is the longest, BASE + BOUND - 1 outputs with its length word: it ends
+# exactly at the block's end
+@pytest.mark.parametrize("start", [0, 7, ONES, 15, "rejected_first"])
+def test_symmetric_runs_match_scalar_stream(start):
+    # the walk reads what the per-trial draws read, run by run, from a
+    # block with nothing, 1, one longest run less 1, or a block less 1 left
+    lefts = (0, 1, BASE + BOUND - 1, _BLOCK - 1)
+    if start == 15:
+        word = ScalarXoshiro256StarStar(15)._outputs(_BLOCK - BASE - BOUND + 2)
+        assert word[-1] % BOUND == BOUND - 1
+    if start == "rejected_first":
+        start, lefts = _rejected_first(), (None,)
+        assert _from(start)[1]._outputs(1) == [ONES]
+    for left in lefts:
+        for count in (0, 1, 3, 200, 512, 513):
+            gen, ref = _from(start)
+            if left is not None:
+                assert gen._outputs(_BLOCK - left) == ref._outputs(
+                    _BLOCK - left)
+                assert len(gen._words) - gen._pos == left
+            values, lengths = gen.symmetric_runs(count, BASE, BOUND)
+            runs = [ref.symmetric(BASE + ref.integer(BOUND))
+                    for _ in range(count)]
+            assert values.dtype == float and lengths.dtype == np.intp
+            assert lengths.tolist() == [len(run) for run in runs]
+            assert values.tolist() == [x for run in runs for x in run]
+            assert gen._outputs(5) == ref._outputs(5), (left, count)
