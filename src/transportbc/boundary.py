@@ -38,7 +38,7 @@ class BoundarySpec:
 
     def __post_init__(self) -> None:
         kb = _integer(self.outflow_order_kb, "extrapolation order k_b")
-        extrapolation_weights(kb)  # refuses a negative order
+        extrapolation_weights(kb)  # refuses a negative or too large order
         object.__setattr__(self, "outflow_order_kb", kb)
 
 
@@ -48,11 +48,14 @@ def extrapolation_weights(kb: int) -> tuple[int, ...]:
     They close the outflow: ``u_{J+ell} = g_{J+ell} + sum_m w_m u_{J+ell-m}``
     makes the ``kb``-th backward difference at ``J+ell`` equal ``g_{J+ell}``.
     Every outflow closure takes its weights here, so this is where ``kb``
-    is checked.
+    is checked; from 1030 on, a weight passes the float range.
     """
     kb = _integer(kb, "extrapolation order k_b")
     if kb < 0:
         raise ValueError("extrapolation order k_b must be nonnegative")
+    if kb >= 1030:
+        raise ValueError(f"extrapolation order k_b = {kb} is too large: "
+                         "from 1030 on its weights pass the float range")
     return tuple(math.comb(kb, m) * (-1) ** (m + 1) for m in range(1, kb + 1))
 
 

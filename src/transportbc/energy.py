@@ -21,14 +21,11 @@ The balance itself is computed by one row kernel, ``_balance_rows``, for a
 batch of sequences of any lengths at once, given end to end with their
 lengths; ``verify_energy_balance`` is that kernel on one row, and
 ``energy-check`` runs it once per chunk of random trials, in the layout
-the generator draws the chunk in.  The kernel steps, squares and
-differences the whole batch in one zero-padded array, but sums each row
-over its own length only: numpy's pairwise sum splits a row where its
-length says, so a sum over the padded width would change the bits.  Each
-row's numbers thus have the same bits in any batch, and every sum is
-numpy's pairwise sum, not BLAS, so they keep their bits under any BLAS
-kernel; each sequence's energy, the scale of its checks, is summed once,
-by the kernel.
+the generator draws the chunk in.  The kernel sums each row over its own
+width only, by numpy's pairwise sum (not BLAS), so a row has the same bits
+in any batch and under any BLAS kernel; it also sums each sequence's
+energy, the scale of its checks, and refuses a balance past the float
+range.
 """
 from __future__ import annotations
 
@@ -79,12 +76,12 @@ def dissipation_and_boundary_form(
 
     ``T`` is the reduced form of the split, an ``(r+p, r+p)`` symmetric
     array acting on a window of ``r + p`` consecutive cells.  Its value on a
-    constant window, ``1^T T 1``, must come out as ``-lambda a`` (asserted,
-    summed exactly rounded by ``math.fsum``), which is what makes the
-    boundary term in the summed energy balance strictly damping.  The
-    stencil must be first-order consistent and reach a left neighbour
-    (``r >= 1``), and a form whose entries or sum leave the float range
-    is refused with a ``ValueError``.
+    constant window, ``1^T T 1``, must come out as ``-lambda a`` (asserted
+    to ``1e-12 * max(1, lambda a, sum |T|)``, summed exactly rounded by
+    ``math.fsum``), which is what makes the boundary term in the summed
+    energy balance strictly damping.  The stencil must be first-order
+    consistent and reach a left neighbour (``r >= 1``), and a form whose
+    entries or sum leave the float range is refused with a ``ValueError``.
     """
     report = consistency_order(stencil)
     if report.order < 1:
@@ -99,6 +96,7 @@ def dissipation_and_boundary_form(
     # form's products: refused, not warned
     with np.errstate(over="ignore", invalid="ignore"):
         d, T = _energy_split(stencil)
+        size = float(np.abs(T).sum())  # each entry is rounded to its size
     try:
         # finite only if every entry of T is, and each d_k enters T's
         # diagonal, so then d is finite too
@@ -108,7 +106,7 @@ def dissipation_and_boundary_form(
     if not math.isfinite(center):
         raise ValueError("the stencil's energy form leaves the float range")
     la = stencil.lam * stencil.velocity_a
-    if abs(center + la) > 1e-12 * max(1.0, la):
+    if abs(center + la) > 1e-12 * max(1.0, la, size):
         raise AssertionError(
             f"boundary form center value {center:.17g} differs from "
             f"-lambda*a = {-la:.17g}"
@@ -137,60 +135,58 @@ def _balance_rows(stencil: SchemeStencil, values, lengths,
     ``(v, [len(v)])``.  This is the layout that
     ``Xoshiro256StarStar.symmetric_runs`` draws, so a chunk of random
     trials is never split into one array per trial.  The sequences are
-    sorted by length and zero-extended into one 2-D array, which is
+    zero-extended, in their own order, into one 2-D array, which is
     stepped, squared and differenced once: the step is ``_next_level``
     applied to the transposed rows (one ordered multiply-add per offset,
     which is also what the march's kernel does for a single level), and
     every entry of a product or difference depends on its own cells alone.
-    Only the sums are taken per length: each is ``np.add.reduce`` along a
-    row cut to the row's own width, numpy's own pairwise sum (no BLAS),
-    which sums a row as it sums a 1-D sequence of that length; summed over
-    the padded width, the zeros would change where the pairwise sum
-    splits.  So each sequence gets exactly the bits of a one-sequence
-    call.  The energy is the sum of squares that ``lhs`` already takes, on
-    the zero-extended row.
+    Each sum is one ``np.add.reduce`` masked to each row's own width,
+    numpy's pairwise sum (no BLAS); over the padded width, the zeros would
+    change where it splits a row.  So each sequence gets exactly the bits
+    of a one-sequence call.  The energy is the sum of squares that ``lhs``
+    already takes.  A balance that leaves the float range is refused with
+    a ``ValueError`` naming the first such sequence's length.
     """
     d = _cached_dissipation(stencil)
     r, p = stencil.r, stencil.p
     pad = r + p
     lengths = np.asarray(lengths, dtype=np.intp)
     n = len(lengths)
-    order = np.argsort(lengths, kind="stable")
     longest = int(lengths.max(initial=0))
-    widths, starts = np.unique(lengths[order] + 2 * pad, return_index=True)
-    groups = list(zip(starts.tolist(), starts[1:].tolist() + [n],
-                      widths.tolist()))
-    # the sequences in rows, in their own order, zero-padded to the longest
-    rows = np.zeros((n, longest))
-    rows[np.arange(longest) < lengths[:, None]] = values
-    # vv holds the rows by length, zero-extended by pad cells each side and
-    # padded with zeros to the longest; the stencil reads r more zeros left
-    # and p right
+    # vv holds the sequences in rows, zero-extended by pad cells each side
+    # and padded to the longest; the stencil reads r more zeros left, p right
     width = longest + 2 * pad
     ext = np.zeros((n, width + r + p))
     vv = ext[:, r:r + width]
-    vv[:, pad:pad + longest] = rows[order]
+    vv[:, pad:pad + longest][np.arange(longest) < lengths[:, None]] = values
 
     def sums(x: np.ndarray, trim: int = 0) -> np.ndarray:
-        # each row over its own width, less the trimmed cells
-        out = np.empty(n)
-        for a, b, w in groups:
-            out[a:b] = np.add.reduce(x[a:b, :w - trim], axis=1)
-        return out
+        # each row over its own width, less the trimmed cells: on numpy
+        # 2.4.6 a prefix mask gives a row the bits of np.add.reduce on the
+        # row cut to that width (test_balance_rows_are_bit_exact_per_row,
+        # test_recorded_outputs_are_reproduced and tests/test_kernels.py)
+        return np.add.reduce(x, axis=1, where=np.arange(x.shape[1])
+                             < (lengths + 2 * pad - trim)[:, None])
 
-    stepped = np.empty(vv.shape)
-    _next_level(stencil.coeff_array, ext.T, stepped.T)
-    squares = sums(vv * vv)
-    lhs = dx * (sums(stepped * stepped) - squares)
-
-    rhs = np.zeros(n)
-    for k, dk in enumerate(d, start=1):
-        diffs = vv[:, k:] - vv[:, :-k]
-        rhs += float(dk) * dx * sums(diffs * diffs, k)
-    back = np.empty(n, dtype=np.intp)
-    back[order] = np.arange(n)
-    return (lhs[back], rhs[back], np.abs(lhs - rhs)[back],
-            (dx * squares)[back])
+    # the squares and sums may pass the float range: refused, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        stepped = np.empty(vv.shape)
+        _next_level(stencil.coeff_array, ext.T, stepped.T)
+        squares = sums(vv * vv)
+        lhs = dx * (sums(stepped * stepped) - squares)
+        rhs = np.zeros(n)
+        for k, dk in enumerate(d, start=1):
+            diffs = vv[:, k:] - vv[:, :-k]
+            rhs += float(dk) * dx * sums(diffs * diffs, k)
+        residual = np.abs(lhs - rhs)
+        energy = dx * squares
+    # a finite residual needs a finite lhs and rhs
+    finite = np.isfinite(residual) & np.isfinite(energy)
+    if not finite.all():
+        raise ValueError(f"the energy balance of a sequence of length "
+                         f"{lengths[finite.argmin()]} at dx={dx!r} leaves "
+                         "the float range")
+    return lhs, rhs, residual, energy
 
 
 def verify_energy_balance(stencil: SchemeStencil, test_sequence,
@@ -219,14 +215,8 @@ def verify_energy_balance(stencil: SchemeStencil, test_sequence,
         raise ValueError("test sequence must be finite")
     if not (dx > 0 and math.isfinite(dx)):
         raise ValueError("dx must be positive and finite")
-    # the squares and sums may pass the float range: refused, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs, residual, energy = (float(x[0]) for x in
-                                      _balance_rows(stencil, v, [v.size], dx))
-    if not all(map(math.isfinite, (lhs, rhs, residual, energy))):
-        raise ValueError(
-            f"the energy balance of a sequence of length {v.size} at "
-            f"dx={dx!r} leaves the float range")
+    lhs, rhs, residual, energy = (float(x[0]) for x in
+                                  _balance_rows(stencil, v, [v.size], dx))
     scale = max(1.0, energy)
     if check_l2_stability(stencil).is_stable and rhs > 1e-12 * scale:
         raise AssertionError(

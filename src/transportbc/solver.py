@@ -119,6 +119,8 @@ class GridSpec:
         J = _integer(self.J, "cell count J")
         if J < 1:
             raise ValueError("cell count must be positive")
+        if J > sys.float_info.max:  # L / J would not convert it
+            raise ValueError("cell count J is past the float range")
         object.__setattr__(self, "J", J)
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise ValueError("time-step ratio must be positive and finite")
@@ -426,10 +428,10 @@ def _march(u: np.ndarray, stencil: SchemeStencil, kb: int, N: int,
     two rows alternate.
     """
     r, p = stencil.r, stencil.p
-    end = r + len(u)  # array position of the first outflow ghost
-    taps = _outflow_taps(end, p, extrapolation_weights(kb))
     if len(u) < kb:  # every level's ghosts are filled, the last one too
         raise ValueError("grid too small for the requested boundary closure")
+    end = r + len(u)  # array position of the first outflow ghost
+    taps = _outflow_taps(end, p, extrapolation_weights(kb))
     coeffs = stencil.coeff_array
     wide = u.ndim > 1 or len(coeffs) > _CORRELATE_WIDTH
     shape = (end + p,) + u.shape[1:]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -61,7 +62,9 @@ def _check_budget(work: int, what: str) -> None:
     units of ``J^3`` flops, and ``what`` names that count in the
     message."""
     if work > ENVELOPE_BUDGET:
-        raise ValueError(f"{what} = {work:.2e} exceeds the flop budget "
+        # an integer past the float range has no float to print
+        size = Decimal(work) if work > sys.float_info.max else work
+        raise ValueError(f"{what} = {size:.2e} exceeds the flop budget "
                          f"{ENVELOPE_BUDGET:.2e}")
 
 

@@ -17,6 +17,12 @@ def test_boundary_spec_validation():
     for bad in (1.5, 2.0, "2", None):
         with pytest.raises(ValueError, match="integer"):
             BoundarySpec(bad)
+    # C(1030, 515) is the first weight past the float range: from there on
+    # the order is refused before any weight is built
+    assert all(math.isfinite(float(w)) for w in extrapolation_weights(1029))
+    for kb in (1030, 1100):
+        with pytest.raises(ValueError, match=f"k_b = {kb} is too large"):
+            BoundarySpec(kb)
     bc = BoundarySpec(np.int64(2))
     assert type(bc.outflow_order_kb) is int and bc.outflow_order_kb == 2
     with pytest.raises(TypeError):  # the inflow rule is not a parameter

@@ -648,6 +648,9 @@ def test_floats_render_with_repr(capsys):
     assert first[1] == repr(float(datum(grid.cell_midpoints[0])))
 
 
+_HUGE = "1" + "0" * 400  # an integer past the float range
+
+
 @pytest.mark.parametrize("argv, named", [
     # dx = L / J underflows to 0.0; the cell average would divide by it
     (["run", "--scheme", "lax_friedrichs", "--a", "0.7", "--J", "2", "--T",
@@ -675,11 +678,30 @@ def test_floats_render_with_repr(capsys):
     (["run", "--J", "100000000000000", "--T", "0"], "J = 100000000000000"),
     (["convergence", "--J-list", "100000000000000", "--T", "0"],
      "J = 100000000000000"),
+    # integers past the float range
+    (["run", "--J", _HUGE], "cell count J is past the float range"),
+    (["convergence", "--J-list", "10," + _HUGE], "cell count J is past"),
+    (["spectral", "--J", _HUGE], "sum(J^3) = 1.00e+1200 exceeds"),
+    (["spectral", "--J-list", "20," + _HUGE], "sum(J^3) = 1.00e+1200"),
+    (["spectral", "--J", "40", "--pseudospectrum", "--res", _HUGE],
+     "res^2 * J^3 = 6.40e+804 exceeds"),
+    # C(1100, 550) is past the float range; an order of 30000 would take
+    # minutes to build its weights
+    (["run", "--J", "2000", "--kb", "1100"], "k_b = 1100 is too large"),
+    (["spectral", "--J", "1200", "--kb", "1100"], "k_b = 1100 is too large"),
+    (["run", "--J", "40", "--kb", "30000"], "k_b = 30000 is too large"),
+    # a form that passes its center check, with trials whose balance
+    # overflows: refused by the balance kernel that energy-check calls
+    (["energy-check", "--scheme", "r=2,p=1,a=-2:1,-1:1.5e153,0:-3e153,"
+      "1:1.5e153;vel=1;lambda=2"], "leaves the float range"),
 ], ids=["underflowing_dx", "overflowing_reference_run",
         "overflowing_reference_convergence", "overflowing_antiderivative",
         "tiny_time_step_run", "tiny_time_step_convergence",
         "overflowing_transition_matrix", "huge_matrix", "huge_pseudospectrum",
-        "huge_run", "huge_convergence"])
+        "huge_run", "huge_convergence", "huge_int_run",
+        "huge_int_convergence", "huge_int_spectral", "huge_int_spectral_list",
+        "huge_int_pseudospectrum", "large_kb_run", "large_kb_spectral",
+        "huge_kb_run", "overflowing_energy_balance"])
 def test_inputs_beyond_the_float_range_are_refused(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -687,6 +709,18 @@ def test_inputs_beyond_the_float_range_are_refused(argv, named, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and named in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_a_large_form_passes_its_center_check(capsys):
+    # entries near 4e16: the center -2 is lost to rounding of their size,
+    # which is not a failed check, and the stencil is then found unstable
+    argv = ["verify", "--scheme", "r=2,p=1,a=-2:1,-1:1e8,0:-2e8,1:1e8;"
+            "vel=1;lambda=2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "FAIL: amplification symbol exceeds modulus 1" in captured.out
 
 
 @pytest.mark.parametrize("argv", [

@@ -105,6 +105,17 @@ def test_energy_form_whose_sum_overflows_is_refused(monkeypatch):
         dissipation_and_boundary_form(lw)
 
 
+def test_a_large_form_meets_its_center_to_the_rounding_of_its_entries():
+    # entries near 4e16 carry rounding far above the center's target -2:
+    # the check is scaled by their size, not by lambda a alone
+    st = SchemeStencil(r=2, p=1, coeffs=(1.0, 1e8, -2e8, 1e8),
+                       velocity_a=1.0, lam=2.0)
+    _, T = dissipation_and_boundary_form(st)
+    center = math.fsum(T.ravel())
+    assert abs(center + 2.0) <= 1e-12 * float(np.abs(T).sum())
+    assert abs(center + 2.0) > 1e-12 * 2.0
+
+
 def test_an_inconsistent_split_fails_its_checks(monkeypatch):
     # the two internal checks of the split, reached through a wrong one: a
     # boundary form off its center value, and a dissipation sum of the
@@ -281,6 +292,22 @@ def test_energy_balance_refuses_the_float_range(seq, dx):
     assert all(map(math.isfinite, out))
 
 
+def test_balance_rows_refuse_a_row_past_the_float_range():
+    # the kernel itself refuses, naming the first row that overflows, with
+    # no overflow warning on the way; energy-check calls it directly
+    st = make_builtin("lax-wendroff", 1.0, 0.7)
+    rows = [[0.5, -0.25, 1.0], [1e160, -1e160], [0.25] * 4, [1e308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                "the energy balance of a sequence of length 2 at dx=0.5 "
+                "leaves the float range")):
+            energy._balance_rows(st, np.concatenate(rows),
+                                 [len(v) for v in rows], 0.5)
+        out = energy._balance_rows(st, np.concatenate(rows[::2]), [3, 4])
+    assert all(np.isfinite(x).all() for x in out)
+
+
 def test_energy_balance_dx_scaling():
     st = make_builtin("lax_wendroff", 1.0, 0.7)
     v = np.array([0.0, 1.0, -0.5, 0.25, 0.0])
@@ -396,8 +423,9 @@ def test_balance_rows_are_bit_exact_per_row(width):
                                     single):
                 assert _same_bits(float(got), a), (width, length, i)
                 assert _same_bits(a, b) and _same_bits(b, c), (width, length)
-    # one ragged call: lengths 0..40 shuffled, most repeated, some once
-    lengths = list(range(41)) + list(range(0, 41, 3)) * 2
+    # one ragged call: lengths 0..40 shuffled, most repeated, some once,
+    # and three past the 128 at which the pairwise sum splits a row
+    lengths = list(range(41)) + list(range(0, 41, 3)) * 2 + [129, 200, 300]
     rng.shuffle(lengths)
     seqs = []
     for length in lengths:

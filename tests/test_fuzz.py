@@ -3,7 +3,9 @@
 Each argv is drawn by a stdlib ``random.Random`` with a fixed seed from a
 small grammar over the five commands: builtin and custom stencil strings,
 and flag values that are often plain and sometimes ``nan``, ``inf``,
-``-0.0``, ``1e308``, ``5e-324`` or ``1e-13``.  Sizes stay small (J <= 40,
+``-0.0``, ``1e308``, ``5e-324`` or ``1e-13``, and integer flags that are
+sometimes past the float range (``HUGE``) or outflow orders whose weights
+are (``--kb`` 1100 or 30000).  The sizes that run stay small (J <= 40,
 trials <= 20, ``--res`` <= 8), so the whole gate takes a few seconds.
 Every call must end in exit code 0, 1 or 2 without a traceback or a
 RuntimeWarning, and an exit-0 output may hold ``nan`` or ``inf`` only where
@@ -31,6 +33,10 @@ SPECIAL = ["nan", "inf", "-inf", "-0.0", "0", "-1"] + [
     "1e308", "5e-324", "1e-13"] * 2
 BUILTINS = ["upwind", "lax_friedrichs", "lax_wendroff", "Lax-Wendroff",
             "leapfrog"]
+# an integer past the float range, and orders whose weights are, drawn
+# as one --kb entry in five
+HUGE = 10 ** 400
+KBS = [0, 1, 2, 3] * 3 + [1100, 30000, HUGE]
 DATA = ["u01", "u02", "u03", "power:0.2:1.5", "power:0:2", "power:-0.3:0.5",
         "power:1:1", "bogus", "power:1"]
 
@@ -67,8 +73,9 @@ def _custom(rng: random.Random) -> str:
         return text
     if kind > 0.9:
         # a shift by two cells plus H times a second difference: first-order
-        # consistent, with an energy form that overflows for all but 1e3
-        H = float(rng.choice(["1e3", "1e155", "1e200", "-1e200"]))
+        # consistent, with an energy form that overflows from 1e155 on and
+        # a balance that overflows at 1.5e153
+        H = float(rng.choice(["1e3", "1.5e153", "1e155", "1e200", "-1e200"]))
         return (f"r=2,p=1,a=-2:1,-1:{H!r},0:{-2 * H!r},1:{H!r};vel=1;"
                 "lambda=2")
     r, p = rng.randint(0, 3), rng.randint(0, 3)
@@ -110,21 +117,21 @@ def _problem(rng: random.Random) -> list[str]:
 def _argv(rng: random.Random) -> list[str]:
     command = rng.choice(COMMANDS + ("run", "convergence"))
     argv = [command] + _scheme(rng)
-    Js = [1, 2, 3, 5, 7, 10, 20, 40, 0, -1]
+    Js = [1, 2, 3, 5, 7, 10, 20, 40, HUGE, 0, -1]
     if command == "run":
         if rng.random() < 0.95:
             argv += ["--J", str(rng.choice(Js))]
         if rng.random() < 0.6:
-            argv += ["--kb", _ints(rng, [0, 1, 2, 3], rng.randint(1, 3))]
+            argv += ["--kb", _ints(rng, KBS, rng.randint(1, 3))]
         argv += _problem(rng)
     elif command == "convergence":
         if rng.random() < 0.95:
-            J_list = sorted(rng.sample(Js[:8], rng.randint(1, 4)))
+            J_list = sorted(rng.sample(Js[:9], rng.randint(1, 4)))
             if rng.random() < 0.1:
                 J_list.reverse()
             argv += ["--J-list", ",".join(map(str, J_list))]
         if rng.random() < 0.6:
-            argv += ["--kb", _ints(rng, [0, 1, 2, 3], rng.choice([1, 1, 2]))]
+            argv += ["--kb", _ints(rng, KBS, rng.choice([1, 1, 2]))]
         argv += _problem(rng)
     elif command == "spectral":
         if rng.random() < 0.5:
@@ -132,11 +139,11 @@ def _argv(rng: random.Random) -> list[str]:
         elif rng.random() < 0.9:
             argv += ["--J-list", _ints(rng, Js, rng.randint(1, 3))]
         if rng.random() < 0.6:
-            argv += ["--kb", _ints(rng, [0, 1, 2, 3], rng.randint(1, 2))]
+            argv += ["--kb", _ints(rng, KBS, rng.randint(1, 2))]
         if rng.random() < 0.3:
             argv += ["--pseudospectrum"]
         if rng.random() < 0.3:
-            argv += ["--res", str(rng.choice([1, 2, 5, 8, 0, -1]))]
+            argv += ["--res", str(rng.choice([1, 2, 5, 8, HUGE, 0, -1]))]
     elif command == "energy-check":
         if rng.random() < 0.7:
             argv += ["--seed", str(rng.choice([0, 1, 7, -1, 2 ** 70]))]

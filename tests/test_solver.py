@@ -89,6 +89,15 @@ def test_grid_refuses_a_cell_width_below_the_normal_floats():
         GridSpec(L=1e308, J=1, lam=2.0)
 
 
+def test_grid_refuses_a_cell_count_past_the_float_range():
+    # L / J would not convert such a J to a float
+    assert GridSpec(L=1.0, J=10 ** 300, lam=0.7).dx == pytest.approx(1e-300)
+    for J in (10 ** 309, 10 ** 400):
+        with pytest.raises(ValueError, match="^cell count J is past the "
+                           "float range$"):
+            GridSpec(L=1.0, J=J, lam=0.7)
+
+
 def test_march_whose_datum_moves_past_2_to_the_40_cells_is_refused():
     # a t / dx = 1e308 * 0.5 * 5: the shifted cell edges would lose their
     # width, and the cell averages divide by it

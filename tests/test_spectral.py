@@ -351,6 +351,10 @@ def test_power_norm_envelope_basics():
     assert norms == pytest.approx(2.0 ** np.arange(7), rel=1e-12)
     with pytest.raises(ValueError, match="budget"):
         power_norm_envelope(np.eye(100), 3000)
+    # a count past the float range: its digits come from the exact integer
+    with pytest.raises(ValueError, match=r"^n_max \* J\^3 = 8\.00e\+400 "
+                       "exceeds the flop budget"):
+        power_norm_envelope(np.eye(2), 10 ** 400)
     with pytest.raises(ValueError, match="nonnegative"):
         power_norm_envelope(np.eye(2), -1)
 
