@@ -317,8 +317,10 @@ def cmd_energy_check(args) -> int:
         # order; the whole chunk is balanced in one pass
         values, lengths = gen.symmetric_runs(
             min(_TRIAL_CHUNK, args.trials - start), 5, 28)
-        _, rhs, residual, energy = _balance_rows(stencil, values, lengths)
-        scale = np.maximum(1.0, energy)
+        lhs, rhs, residual, energy = _balance_rows(stencil, values, lengths)
+        # the rounding of a balance scales with the size of its terms
+        scale = np.maximum(np.maximum(1.0, energy),
+                           np.maximum(np.abs(lhs), np.abs(rhs)))
         max_residual = max(max_residual, float(np.max(residual / scale)))
         max_rhs = max(max_rhs, float(np.max(rhs)))
     lines = [

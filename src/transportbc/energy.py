@@ -128,7 +128,7 @@ def _balance_rows(stencil: SchemeStencil, values, lengths,
                                             np.ndarray, np.ndarray]:
     """``(lhs, rhs, residual)`` of :func:`verify_energy_balance`, as arrays,
     for each of a batch of sequences, and each sequence's energy
-    ``dx * sum_j v_j^2``, the scale of its residual.
+    ``dx * sum_j v_j^2``.
 
     The batch is ragged: ``values`` holds the sequences end to end, and
     ``lengths`` the length of each, in order; one sequence ``v`` is

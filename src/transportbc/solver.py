@@ -29,7 +29,10 @@ Each full block is measured at once by the run's meter, built once per
 run around the evaluator of ``reference_values``, which binds the grid
 coordinates, the floor of ``support_min`` and the branch for the datum
 and the convention; a block computes only its shifts, its first live
-column, the datum there and its error norms.  A reference value is the
+column, the datum there and its errors ``|u - ref|``, of which each driver
+reduces only the norms it returns: ``convergence_study`` the l-infinity
+(sup) norm alone, ``run_interval``, ``run_halfline_outflow`` and
+``error_metrics`` the l-infinity and the l2 norm.  A reference value is the
 datum shifted by ``a t`` and cut to zero at ``x <= 0``, the exact
 solution of the interval problem.  Left of the first cell the shifted
 support can reach (with a margin of one cell) it is exactly zero, so it
@@ -472,35 +475,34 @@ def _sum_squares(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
-def _block_errors(u: np.ndarray, ref: np.ndarray, dx: float,
-                  linf: np.ndarray, l2: np.ndarray) -> None:
-    """l-infinity and l2 errors of the rows of ``u`` against ``ref``, the
-    reference values of their last ``ref.shape[1]`` columns (zero left of
-    them), written into ``linf`` and ``l2``; an l2 error is
-    ``sqrt(dx * _sum_squares(err))`` of its row.  Where the reference is
-    zero the error is ``u`` itself, copied: ``u - 0.0`` has the same bits,
-    but is far slower on the subnormal cells a march leaves there."""
+def _block_errors(u: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``|u - ref|`` of the rows of ``u`` against ``ref``, the reference
+    values of their last ``ref.shape[1]`` columns (zero left of them), in a
+    new array.  Where the reference is zero the error is ``|u|``, taken on
+    a copy of ``u``: ``u - 0.0`` has the same bits, but is far slower on
+    the subnormal cells a march leaves there."""
     j0 = u.shape[1] - ref.shape[1]
     err = np.empty(u.shape)
     err[:, :j0] = u[:, :j0]
     np.subtract(u[:, j0:], ref, out=err[:, j0:])
-    np.sqrt(dx * _sum_squares(err), out=l2)
-    np.maximum.reduce(np.abs(err, out=err), axis=1, out=linf)
+    return np.abs(err, out=err)
 
 
 def _meter(datum, grid: GridSpec, a: float, convention: str) -> Callable:
-    """``measure(u, n0, linf, l2)``, one run's block measurement: the
-    errors of levels ``n0, n0+1, ...`` (rows of ``u``) against their
-    reference values.  Only the shifts ``a t`` change between blocks; being
-    monotone in the level, their extremes are a block's end rows."""
+    """``measure(u, n0)``, one run's block measurement: the errors
+    ``|u - ref|`` of levels ``n0, n0+1, ...`` (rows of ``u``) against their
+    reference values, from which each driver reduces the norms it returns
+    (a row's l-infinity error is its maximum, its l2 error
+    ``sqrt(dx * _sum_squares(row))``).  Only the shifts ``a t`` change
+    between blocks; being monotone in the level, their extremes are a
+    block's end rows."""
     evaluate = _reference(datum, grid, convention)
-    dx, dt = grid.dx, grid.dt
+    dt = grid.dt
 
-    def measure(u: np.ndarray, n0: int, linf: np.ndarray,
-                l2: np.ndarray) -> None:
+    def measure(u: np.ndarray, n0: int) -> np.ndarray:
         shift = a * (np.arange(n0, n0 + len(u)) * dt)[:, None]
         ends = shift.item(0), shift.item(-1)
-        _block_errors(u, evaluate(shift, min(ends), max(ends)), dx, linf, l2)
+        return _block_errors(u, evaluate(shift, min(ends), max(ends)))
     return measure
 
 
@@ -579,42 +581,64 @@ def _check_ratio(grid: GridSpec, stencil: SchemeStencil) -> None:
                          f"stencil's lambda {stencil.lam!r}")
 
 
+def _interval_march(datum, grid: GridSpec, stencil: SchemeStencil, kb: int,
+                    T: float, convention: str) -> tuple[int, Callable]:
+    """The checks, step count ``N``, initial level and meter of an interval
+    run to the first time level at or past ``T``, as ``(N, march)``.
+
+    ``march(keep)`` marches the ``N`` steps with outflow order ``kb`` and
+    returns the last level's interior.  ``keep(n0, u, err)``, when given,
+    receives each block of levels ``n0, n0+1, ...``: their interiors ``u``
+    (rows of the march's buffer, overwritten after the call) and their
+    errors ``err = |u - ref|``, from which the driver reduces only the
+    norms it returns."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown convention {convention!r}")
+    _check_ratio(grid, stencil)
+    N = n_steps(T, grid.dt)
+    _check_march(N, grid, stencil)
+    u0 = initial_state(datum, grid, stencil, convention).interior
+    measure = _meter(datum, grid, stencil.velocity_a, convention)
+    r, J = stencil.r, grid.J
+
+    def march(keep: Callable | None) -> np.ndarray:
+        def observe(n0: int, block: np.ndarray) -> None:
+            u = block[:, r:r + J]
+            keep(n0, u, measure(u, n0))
+        return _march(u0, stencil, kb, N,
+                      None if keep is None else observe)
+    return N, march
+
+
 def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
                  bc: BoundarySpec, T: float, record: str = "sup_error",
                  convention: str = "midpoint") -> RunResult:
     """March the interval scheme to the first time level at or past ``T``.
 
     ``record`` selects what is retained: ``"final"`` keeps just the last
-    level, ``"sup_error"`` additionally tracks per-step error norms against
-    the exact solution, ``"full_history"`` keeps every level's interior
-    (and the error track).  ``grid.lam`` must equal ``stencil.lam``.
+    level, ``"sup_error"`` additionally tracks the per-step l-infinity and
+    l2 errors against the exact solution, ``"full_history"`` keeps every
+    level's interior (and the error track).  ``grid.lam`` must equal
+    ``stencil.lam``.
     """
     if record not in ("final", "sup_error", "full_history"):
         raise ValueError(f"unknown record mode {record!r}")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    _check_ratio(grid, stencil)
-    N = n_steps(T, grid.dt)
-    _check_march(N, grid, stencil)
-    state = initial_state(datum, grid, stencil, convention)
-    r, J = stencil.r, grid.J
-
+    N, march = _interval_march(datum, grid, stencil, bc.outflow_order_kb, T,
+                               convention)
     track = record != "final"
     linf_hist = np.zeros(N + 1) if track else None
     l2_hist = np.zeros(N + 1) if track else None
-    history = np.empty((N + 1, J)) if record == "full_history" else None
+    history = np.empty((N + 1, grid.J)) if record == "full_history" else None
+    dx = grid.dx
 
-    measure = _meter(datum, grid, stencil.velocity_a, convention)
-
-    def observe(n0: int, block: np.ndarray) -> None:
-        n1 = n0 + len(block)
-        u = block[:, r:r + J]
-        measure(u, n0, linf_hist[n0:n1], l2_hist[n0:n1])
+    def keep(n0: int, u: np.ndarray, err: np.ndarray) -> None:
+        n1 = n0 + len(u)
+        np.maximum.reduce(err, axis=1, out=linf_hist[n0:n1])
+        np.sqrt(dx * _sum_squares(err), out=l2_hist[n0:n1])
         if history is not None:
             history[n0:n1] = u
 
-    final = _march(state.interior, stencil, bc.outflow_order_kb, N,
-                   observe if track else None)
+    final = march(keep if track else None)
     return RunResult(grid=grid, stencil=stencil, bc=bc, datum=datum,
                      convention=convention, record=record, n_steps=N,
                      t_final=N * grid.dt, final_state=final,
@@ -660,8 +684,9 @@ def error_metrics(run: RunResult,
         measure = _meter(run.datum, run.grid, run.stencil.velocity_a,
                          convention)
         for i in range(0, len(levels), rows):
-            measure(levels[i:i + rows], first + i, linf_hist[i:i + rows],
-                    l2_hist[i:i + rows])
+            err = measure(levels[i:i + rows], first + i)
+            np.maximum.reduce(err, axis=1, out=linf_hist[i:i + rows])
+            np.sqrt(run.grid.dx * _sum_squares(err), out=l2_hist[i:i + rows])
     if run.record == "final":
         return ErrorReport(convention=convention,
                            linf_final=float(linf_hist[0]),
@@ -692,26 +717,29 @@ def convergence_study(datum, stencil: SchemeStencil, kb: int,
 
     The order between consecutive rows is measured on the sup-over-steps
     error (the statistic the reference tables use) and reported on the finer
-    row; ``error_final`` rides along for comparison.
+    row; ``error_final`` rides along for comparison.  Only the l-infinity
+    (sup) norm is computed, no l2 error: each run shares ``run_interval``'s
+    march and meter, so its errors have the bits of ``linf_history``.
     """
     if list(J_list) != sorted(set(J_list)):
         raise ValueError("J_list must be strictly increasing")
-    bc = BoundarySpec(outflow_order_kb=kb)
+    kb = BoundarySpec(outflow_order_kb=kb).outflow_order_kb
     rows: list[ConvergenceRow] = []
     prev: tuple[int, float] | None = None
     for J in J_list:
         grid = GridSpec(L=L, J=J, lam=stencil.lam)
-        run = run_interval(datum, grid, stencil, bc, T,
-                           record="sup_error", convention=convention)
-        rep = error_metrics(run)
+        N, march = _interval_march(datum, grid, stencil, kb, T, convention)
+        linf = np.zeros(N + 1)
+        march(lambda n0, u, err: np.maximum.reduce(
+            err, axis=1, out=linf[n0:n0 + len(u)]))
+        sup = float(linf.max())
         order = float("nan")
-        if prev is not None and rep.linf_sup > 0 and prev[1] > 0:
-            order = math.log(prev[1] / rep.linf_sup) / math.log(J / prev[0])
+        if prev is not None and sup > 0 and prev[1] > 0:
+            order = math.log(prev[1] / sup) / math.log(J / prev[0])
         rows.append(ConvergenceRow(J=J, dx=grid.dx,
-                                   error_final=rep.linf_final,
-                                   error_sup=rep.linf_sup,
-                                   observed_order=order))
-        prev = (J, rep.linf_sup)
+                                   error_final=float(linf[-1]),
+                                   error_sup=sup, observed_order=order))
+        prev = (J, sup)
     return rows
 
 
@@ -835,7 +863,9 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
         u = block[:, r:r + grid.J]
         masses[n0:n1] = dx * np.sum(u, axis=1)
         energies[n0:n1] = dx * _sum_squares(u)
-        measure(u, n0, linf_hist[n0:n1], l2_hist[n0:n1])
+        err = measure(u, n0)
+        np.maximum.reduce(err, axis=1, out=linf_hist[n0:n1])
+        np.sqrt(dx * _sum_squares(err), out=l2_hist[n0:n1])
 
     final = _march(f0, stencil, kb, steps, observe, sources=sources)
     return HalflineResult(grid=grid, stencil=stencil, kb=kb, steps=steps,

@@ -378,6 +378,21 @@ def test_energy_check_unstable_note(capsys):
     assert "FAIL" not in out
 
 
+def test_energy_check_scales_residuals_by_the_balance_terms(capsys):
+    # an unstable stencil with large coefficients: its worst trial has
+    # residual 2.3e-10 on lhs 5.9e5 and energy 6.9, rounding of the terms,
+    # so the residual relative to max(1, energy, |lhs|, |rhs|) is at
+    # rounding and no residual FAIL is printed
+    assert main(["energy-check", "--scheme",
+                 "r=2,p=1,a=-2:1,-1:100,0:-200,1:100;vel=1;lambda=2",
+                 "--trials", "200"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "not l2-stable" in out
+    line, = (s for s in out.splitlines() if s.startswith("max relative"))
+    assert 0.0 < float(line.split()[-1]) < 1e-15
+
+
 # energy-check and verify texts and exit codes recorded before energy-check
 # balanced its trials in batches: the builtins, an unstable ratio, a
 # consistent r=3, p=1 stencil, a stable and an unstable custom one and an

@@ -26,6 +26,7 @@ GATES = [
     "test_cli.py::test_energy_check_output_does_not_depend_on_chunk",
     "test_solver.py::test_interval_march_matches_stepped_runs",
     "test_solver.py::test_halfline_march_matches_stepped_runs",
+    "test_solver.py::test_convergence_rows_match_stepped_runs",
     "test_solver.py::test_march_is_bit_exact_against_scalar_loop",
     "test_solver.py::test_live_columns_match_full_width_evaluation",
     "test_solver.py::test_wide_block_norms_match_per_row_sums",

@@ -709,6 +709,38 @@ def test_halfline_march_matches_stepped_runs(st):
                         assert np.array_equal(g, w), case
 
 
+@pytest.mark.parametrize("st", MARCH_STENCILS,
+                         ids=["upwind", "lax_friedrichs", "lax_wendroff",
+                              "wide"])
+def test_convergence_rows_match_stepped_runs(st):
+    # convergence_study measures the sup norm alone: each row's final and
+    # sup-over-steps errors, and the order taken from them, have the bits
+    # of the stepped runs' l-infinity histories
+    J_list, T = (12, 23, 40), 0.6
+    for d in (PowerPlusDatum(0.5, 2.5), _bump(0.3, 0.4)):
+        for kb in range(4):
+            for conv in ("midpoint", "cell_average"):
+                rows = convergence_study(d, st, kb, J_list, T,
+                                         convention=conv)
+                want, prev = [], None
+                for J in J_list:
+                    grid = GridSpec(L=1.0, J=J, lam=st.lam)
+                    _, linf, _, _ = _stepped_interval(d, grid, st, kb, T,
+                                                      "sup_error", conv)
+                    sup = float(np.max(linf))
+                    order = math.nan if prev is None else \
+                        math.log(prev[1] / sup) / math.log(J / prev[0])
+                    want.append((J, grid.dx, float(linf[-1]), sup, order))
+                    prev = (J, sup)
+                got = [(row.J, row.dx, row.error_final, row.error_sup,
+                        row.observed_order) for row in rows]
+                case = (d, kb, conv)
+                assert len(got) == len(want), case
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w, equal_nan=True), case
+                    assert np.array_equal(np.signbit(g), np.signbit(w)), case
+
+
 def test_wide_block_norms_match_per_row_sums():
     # J = 2560 rows are long enough for a kernel to split its sums: the
     # whole-block l2 norms, masses and energies must equal per-row einsum
@@ -742,11 +774,15 @@ def test_march_results_do_not_depend_on_block_size(monkeypatch):
                             record="full_history", convention="cell_average")
         rep = error_metrics(full, convention="midpoint")
         half = run_halfline_outflow(_bump(0.7, 0.25), grid, LW, 1, steps=220)
+        rows = convergence_study(d, LW, 2, [160, 320], 1.0,
+                                 convention="cell_average")
         return [full.final_state, full.linf_history, full.l2_history,
                 full.history,
                 np.array([rep.linf_sup, rep.l2_sup, rep.linf_final]),
                 half.final_state, half.traces, half.masses,
-                half.energies, half.linf_history, half.l2_history]
+                half.energies, half.linf_history, half.l2_history,
+                np.array([(row.error_final, row.error_sup) for row in rows]),
+                np.array([row.observed_order for row in rows[1:]])]
 
     default = arrays()
     # the default splits both runs (history, traces) into several blocks
@@ -1002,12 +1038,13 @@ def test_live_columns_match_full_width_evaluation(monkeypatch, entries):
 
 @pytest.mark.parametrize("conv", ["midpoint", "cell_average"])
 def test_meter_matches_block_errors_of_reference_values(conv):
-    # one meter per run: its block norms have the bits of _block_errors on
-    # reference_values at the block's times, for every datum kind (power c
-    # below, at and above 0, callables with and without support_min), for
-    # growing, still and falling shifts, and for blocks whose levels reach
-    # different first cells; the levels hold signed zeros and subnormals,
-    # whose errors left of the live columns are copied, not subtracted
+    # one meter per run: its error blocks have the bits of |u - ref| and
+    # of _block_errors on reference_values at the block's times, for every
+    # datum kind (power c below, at and above 0, callables with and without
+    # support_min), for growing, still and falling shifts, and for blocks
+    # whose levels reach different first cells; the levels hold signed
+    # zeros and subnormals, whose errors left of the live columns are
+    # copied, not subtracted
     grid = GridSpec(L=1.0, J=64, lam=0.7)
     rng = np.random.default_rng(23)
     moved = 0
@@ -1023,12 +1060,9 @@ def test_meter_matches_block_errors_of_reference_values(conv):
                 ref = reference_values(d, grid, times, a, conv)
                 first = (ref != 0.0).argmax(axis=1)
                 moved += len(set(first.tolist())) > 1
-                want_linf, want_l2 = np.empty(rows), np.empty(rows)
-                solver._block_errors(u, ref, grid.dx, want_linf, want_l2)
-                linf, l2 = np.full(rows, np.nan), np.full(rows, np.nan)
-                measure(u, n0, linf, l2)
-                assert np.array_equal(linf, want_linf), case
-                assert np.array_equal(l2, want_l2), case
+                want = np.abs(u - ref)
+                assert _bits_equal(solver._block_errors(u, ref), want), case
+                assert _bits_equal(measure(u, n0), want), case
     assert moved >= 20  # blocks whose first nonzero column moves
 
 
