@@ -11,7 +11,8 @@ values may differ between machines.
 
 Exit codes: 0 success (and ``--help``), 1 validation failure (bad or
 repeated flag values, unknown commands, rejected inputs), 2 numerical
-non-convergence or a failed numerical check.
+non-convergence or a failed numerical check.  The library makes every
+refusal and check; this module makes no float-range check of its own.
 """
 from __future__ import annotations
 
@@ -48,11 +49,6 @@ _TRIAL_CHUNK = 512
 # pseudospectrum grid points per axis when --res is not given
 _RES = 64
 
-# Largest exponent ``log(y)`` of a reference value ``y`` that ``run`` and
-# ``convergence`` accept: the float range less a margin of e^8 (about
-# 3000) for the stencil sums and the errors built from such values.
-_LOG_RANGE = math.log(sys.float_info.max) - 8.0
-
 
 def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
@@ -74,26 +70,6 @@ def _resolve_datum(text: str) -> PowerPlusDatum:
         f"unknown datum {text!r}; use one of {sorted(NAMED_DATA)} or "
         "power:c:alpha"
     )
-
-
-def _check_range(datum: PowerPlusDatum, L: float, J: int) -> None:
-    """Refuse an interval ``(0, L]`` on which the datum's reference
-    values, their antiderivative (for cell averages) or the sum of ``J``
-    of their squares (an l2 error) would overflow; all grow with ``L``."""
-    top = L - datum.c  # the largest base of the power
-    if not (0.0 < L < math.inf and top > 1.0):
-        return  # the grid refuses such an L; a base up to 1 cannot overflow
-    log_top = math.log(top)  # inf if L - c overflowed
-    if max((datum.alpha + 1.0) * log_top,
-           2.0 * datum.alpha * log_top + math.log(max(J, 1))) > _LOG_RANGE:
-        raise ValueError(f"--L {L!r} is too long: the reference values of "
-                         "the datum on (0, L] overflow")
-
-
-def _check_finite(what: str, values) -> None:
-    """Refuse to print a march whose values left the float range."""
-    if not all(math.isfinite(v) for v in values):
-        raise AssertionError(f"{what} left the float range")
 
 
 def _resolve_stencil(args, enforce_cfl: bool = True) -> SchemeStencil:
@@ -197,33 +173,22 @@ def cmd_run(args) -> int:
         raise ValueError("run needs --J")
     grid = GridSpec(L=args.L, J=args.J, lam=stencil.lam)
     kbs = _distinct("--kb", args.kb)
-    _check_range(datum, grid.L, grid.J)
-    numeric = {}
-    for kb in kbs:
-        run = run_interval(datum, grid, stencil, BoundarySpec(kb), args.T,
+    numeric = []
+    for bc in [BoundarySpec(kb) for kb in kbs]:  # every order checked first
+        run = run_interval(datum, grid, stencil, bc, args.T,
                            record="final", convention=args.convention)
-        numeric[kb] = run.final_state
+        numeric.append(run.final_state)
     exact = reference_values(datum, grid, run.t_final, stencil.velocity_a,
                              args.convention)
-    x_mid = grid.cell_midpoints
-    single = len(kbs) == 1
-    columns = ["x_mid"]
-    columns += ["numeric" if single else f"numeric_kb{kb}" for kb in kbs]
-    columns += ["exact"]
-    columns += ["error" if single else f"error_kb{kb}" for kb in kbs]
-    rows = []
-    for i in range(grid.J):
-        row = [x_mid[i]]
-        row += [numeric[kb][i] for kb in kbs]
-        row += [exact[i]]
-        row += [numeric[kb][i] - exact[i] for kb in kbs]
-        rows.append(tuple(row))
-    _check_finite("the march", (v for row in rows for v in row))
+    tags = [""] if len(kbs) == 1 else [f"_kb{kb}" for kb in kbs]
+    columns = ["x_mid", *(f"numeric{t}" for t in tags), "exact",
+               *(f"error{t}" for t in tags)]
+    rows = zip(grid.cell_midpoints, *numeric, exact,
+               *(u - exact for u in numeric))
     header = _config_header(
         args, stencil, L=args.L, J=args.J, kb=",".join(map(str, kbs)),
         T=args.T, n_steps=run.n_steps, t_final=repr(run.t_final),
-        datum=args.datum,
-        convention=args.convention,
+        datum=args.datum, convention=args.convention,
     )
     _emit(args, _csv_lines(header, columns, rows))
     return 0
@@ -237,11 +202,8 @@ def cmd_convergence(args) -> int:
     if len(args.kb) != 1:
         raise ValueError("convergence takes exactly one --kb value")
     kb = args.kb[0]
-    _check_range(datum, args.L, max(args.J_list))
     rows = convergence_study(datum, stencil, kb, args.J_list, args.T,
                              L=args.L, convention=args.convention)
-    _check_finite("the march", (e for row in rows
-                                for e in (row.error_final, row.error_sup)))
     header = _config_header(
         args, stencil, L=args.L, J_list=",".join(map(str, args.J_list)),
         kb=kb, T=args.T, datum=args.datum, convention=args.convention,

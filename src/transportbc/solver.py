@@ -25,14 +25,14 @@ level per column, as the matrix marches the identity) keep the ordered
 loop of ``_next_level``, the package's only stencil sum (the energy
 balance steps with it too); either way every level has its bits.
 
-Each full block is measured at once by the run's meter, built once per
-run around the evaluator of ``reference_values``, which binds the grid
-coordinates, the floor of ``support_min`` and the branch for the datum
-and the convention; a block computes only its shifts, its first live
-column, the datum there and its errors ``|u - ref|``, of which each driver
-reduces only the norms it returns: ``convergence_study`` the l-infinity
-(sup) norm alone, ``run_interval``, ``run_halfline_outflow`` and
-``error_metrics`` the l-infinity and the l2 norm.  A reference value is the
+The three drivers, ``run_interval``, ``convergence_study`` and
+``run_halfline_outflow``, share one set-up, ``_interval_march``.  Its
+meter, built once per run around the evaluator of ``reference_values``
+(which binds the grid coordinates, the floor of ``support_min`` and the
+branch for the datum and the convention), measures each full block at
+once: its shifts, its first live column, the datum there and its errors
+``|u - ref|``, of which each driver reduces only the norms it returns
+(``convergence_study`` the sup norm alone).  A reference value is the
 datum shifted by ``a t`` and cut to zero at ``x <= 0``, the exact
 solution of the interval problem.  Left of the first cell the shifted
 support can reach (with a margin of one cell) it is exactly zero, so it
@@ -45,7 +45,10 @@ arithmetic of a loop of ``step`` calls; the sums of squares are numpy's
 own einsum loop (``_sum_squares``), not BLAS, so no result depends on
 the block size or on the BLAS kernel the machine picks.  Run results are
 plain arrays of level interiors; a ``FieldState`` is built only by
-``initial_state`` and ``step``.
+``initial_state`` and ``step``.  A power datum that overflows on ``(0, L]``
+is refused where it is first evaluated (``_check_range``), and a march whose
+returned arrays left the float range raises ``AssertionError``
+(``_check_finite``).
 
 Reported error tables use the midpoint convention with the sup-over-steps
 statistic; both statistics are always emitted so the choice stays visible.
@@ -106,6 +109,10 @@ _STEP_CELLS = 2 ** 11
 # so the cap keeps it to about a gigabyte, a level of zero steps too; the
 # largest runs of the tests and the benchmark have J = 2560.
 _MAX_LEVEL_CELLS = 2 ** 24
+
+# Largest ``log(y)`` of a reference value ``y`` (``_check_range``): the float
+# range less e^8 (about 3000) for the stencil sums and errors built from y.
+_LOG_RANGE = math.log(sys.float_info.max) - 8.0
 
 
 @dataclass(frozen=True)
@@ -280,12 +287,39 @@ def _skip_edge(edges: np.ndarray, least: float, most: float,
     return lower - dx
 
 
-def _reference(datum, grid: GridSpec, convention: str) -> Callable:
+def _check_range(datum, grid: GridSpec, least: float = 0.0) -> None:
+    """Refuse a grid on whose ``(0, L]`` a power datum shifted by ``least``
+    or more, its antiderivative or the sum of ``J`` of its squares
+    overflows, or whose cell averages' edges ``least`` moves too far."""
+    if not isinstance(datum, PowerPlusDatum):
+        return
+    _check_shift(-least / grid.dx, f"the shift a t = {least!r}")
+    top = grid.L - min(least, 0.0) - datum.c  # the largest base of the power
+    if not top > 1.0:
+        return  # a base up to 1 cannot overflow
+    log_top = math.log(top)  # inf if the base overflowed
+    if max((datum.alpha + 1.0) * log_top,
+           2.0 * datum.alpha * log_top + math.log(grid.J)) > _LOG_RANGE:
+        moved = f" with the shift a t = {least!r}" if least < 0.0 else ""
+        raise ValueError(f"L = {grid.L!r}{moved} is too long: the reference "
+                         "values of the datum on (0, L] overflow")
+
+
+def _check_shift(cells: float, moved: str, span: str = "") -> None:
+    """Refuse a move of over 2**40 cells (or NaN): it loses the cell width."""
+    if not cells <= 2.0 ** 40:
+        raise ValueError(f"{moved} moves the datum {cells:.3g} cells{span}, "
+                         "more than 2**40")
+
+
+def _reference(datum, grid: GridSpec, convention: str,
+               least: float = 0.0) -> Callable:
     """``evaluate(shift, least, most)``, the reference values of ``datum``
     on ``grid`` in ``convention`` from the first live column on (zero left
     of it): a row per entry of the column ``shift`` (``a t``; one row if
-    0-d), whose extremes are ``least`` and ``most``.  What no shift
-    changes is bound once, here."""
+    0-d), whose extremes are ``least`` and ``most`` (no lower than the
+    ``least`` checked here).  What no shift changes is bound once, here."""
+    _check_range(datum, grid, least)
     mids, edges = grid.cell_midpoints, grid.cell_edges
     smin = datum.support_min
     lower = 0.0 if smin is None else max(0.0, smin)
@@ -337,18 +371,22 @@ def reference_values(datum, grid: GridSpec, t, a: float,
     (``_skip_edge``); the Gauss quadrature also skips each row's own cells
     left of the skip edge.  Skipped cells are ``0.0``, evaluated ones have
     the bits of a full-width evaluation.  This is ``_reference``, the
-    evaluator each run's meter builds once, applied to ``t``.
-    """
+    evaluator each run's meter builds once, applied to ``t`` (a shift that
+    is not finite or moves the datum right over 2**40 cells is refused)."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     t = np.asarray(t, dtype=float)
     if t.ndim > 1:
         raise ValueError("t must be one time or a 1-D array of times")
-    shift = a * (t[:, None] if t.ndim == 1 else t)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        shift = a * (t[:, None] if t.ndim == 1 else t)
     if shift.size == 0:
         return np.zeros((0, grid.J))
-    live = _reference(datum, grid, convention)(
-        shift, float(shift.min()), float(shift.max()))
+    if not np.isfinite(shift).all():
+        raise ValueError(f"the shift a t is not finite (a = {a!r})")
+    least, most = float(shift.min()), float(shift.max())
+    _check_shift(most / grid.dx, f"the shift a t = {most!r}")
+    live = _reference(datum, grid, convention, least)(shift, least, most)
     out = np.zeros(shift.shape[:-1] + (grid.J,))
     out[..., grid.J - live.shape[-1]:] = live
     return out
@@ -362,9 +400,10 @@ def initial_state(datum, grid: GridSpec, stencil: SchemeStencil,
     The cell averages are the reference values at ``t = 0``, so their
     quadrature skips the cells the support cannot reach, as at every later
     level; the midpoint samples are the datum's own, signed zeros
-    included."""
+    included.  Both refuse a datum whose values overflow on the grid."""
     state = FieldState(J=grid.J, r=stencil.r, p=stencil.p, time_index=0)
     if convention == "midpoint":
+        _check_range(datum, grid)
         state.interior[:] = datum(grid.cell_midpoints)
     else:
         state.interior[:] = reference_values(datum, grid, 0.0,
@@ -475,6 +514,21 @@ def _sum_squares(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, a)
 
 
+def _norms(err: np.ndarray, dx: float, linf: np.ndarray,
+           l2: np.ndarray) -> None:
+    """Write the l-infinity and l2 norm of each row of ``err`` into ``linf``
+    and ``l2``; an l2 norm past the float range is left ``inf``."""
+    np.maximum.reduce(err, axis=1, out=linf)
+    with np.errstate(over="ignore"):
+        np.sqrt(dx * _sum_squares(err), out=l2)
+
+
+def _check_finite(*arrays: np.ndarray | None) -> None:
+    """Refuse a march's returned arrays (None skipped) past the float range."""
+    if not all(np.isfinite(a).all() for a in arrays if a is not None):
+        raise AssertionError("the march left the float range")
+
+
 def _block_errors(u: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """``|u - ref|`` of the rows of ``u`` against ``ref``, the reference
     values of their last ``ref.shape[1]`` columns (zero left of them), in a
@@ -528,27 +582,25 @@ def n_steps(T: float, dt: float) -> int:
 def _check_march(N: int, grid: GridSpec, stencil: SchemeStencil) -> None:
     """Refuse a march of ``N`` steps, before any of its arrays is made,
     whose level of ``J + r + p`` cells exceeds ``_MAX_LEVEL_CELLS``, whose
-    ``N * (J + r + p)`` cell updates (at least ``_STEP_CELLS`` a step)
-    exceed ``_MAX_CELL_UPDATES``, or whose datum moves more than ``2**40``
-    cells: the shifted cell edges of its reference values would then keep
-    too few bits of their width, or none."""
+    final time ``N dt`` overflows, whose ``N * (J + r + p)`` cell updates
+    (at least ``_STEP_CELLS`` a step) exceed ``_MAX_CELL_UPDATES``, or
+    whose datum moves more than ``2**40`` cells (``_check_shift``)."""
     width = grid.J + stencil.r + stencil.p
     if width > _MAX_LEVEL_CELLS:
         raise ValueError(
             f"J = {grid.J} is too large: a level of {width:.3g} cells is "
             f"more than the cap of {_MAX_LEVEL_CELLS:.3g}")
+    if not math.isfinite(N * grid.dt):
+        raise ValueError(f"{N} steps of dt = {grid.dt!r} pass the float range")
     updates = N * max(width, _STEP_CELLS)
     if updates > _MAX_CELL_UPDATES:
         raise ValueError(
             f"time step dt = {grid.dt!r} is too small: {N} steps of "
             f"{grid.J} cells count as {updates:.3g} cell updates, more "
             f"than the cap of {_MAX_CELL_UPDATES:.3g}")
-    cells = stencil.velocity_a * stencil.lam * N  # a t / dx at the end
-    if not cells <= 2.0 ** 40:
-        raise ValueError(
-            f"velocity {stencil.velocity_a!r} times lambda "
-            f"{stencil.lam!r} moves the datum {cells:.3g} cells in {N} "
-            "steps, more than 2**40")
+    _check_shift(stencil.velocity_a * stencil.lam * N,  # a t / dx at the end
+                 f"velocity {stencil.velocity_a!r} times lambda "
+                 f"{stencil.lam!r}", f" in {N} steps")
 
 
 @dataclass
@@ -582,32 +634,34 @@ def _check_ratio(grid: GridSpec, stencil: SchemeStencil) -> None:
 
 
 def _interval_march(datum, grid: GridSpec, stencil: SchemeStencil, kb: int,
-                    T: float, convention: str) -> tuple[int, Callable]:
-    """The checks, step count ``N``, initial level and meter of an interval
-    run to the first time level at or past ``T``, as ``(N, march)``.
-
-    ``march(keep)`` marches the ``N`` steps with outflow order ``kb`` and
-    returns the last level's interior.  ``keep(n0, u, err)``, when given,
-    receives each block of levels ``n0, n0+1, ...``: their interiors ``u``
-    (rows of the march's buffer, overwritten after the call) and their
-    errors ``err = |u - ref|``, from which the driver reduces only the
-    norms it returns."""
+                    N: int, convention: str,
+                    sources: np.ndarray | None = None) -> tuple:
+    """Check and set up a march of ``N`` steps (the outflow order ``kb``,
+    convention, ``dt / dx`` ratio, ``_check_march``, the datum's range),
+    as ``(kb, N, u0, march)``.  ``march(keep)`` marches from ``u0`` with
+    the outflow ``sources``, if any, and returns the last interior;
+    ``keep(span, rows, u, err)``, if given, gets each block: its ``slice``
+    of the levels, its rows (ghosts included, overwritten after the call),
+    interiors and errors ``|u - ref|`` (the meter's)."""
+    kb = BoundarySpec(kb).outflow_order_kb
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     _check_ratio(grid, stencil)
-    N = n_steps(T, grid.dt)
+    N = _integer(N, "steps")
+    if N < 0:
+        raise ValueError("steps must be nonnegative")
     _check_march(N, grid, stencil)
     u0 = initial_state(datum, grid, stencil, convention).interior
     measure = _meter(datum, grid, stencil.velocity_a, convention)
     r, J = stencil.r, grid.J
 
     def march(keep: Callable | None) -> np.ndarray:
-        def observe(n0: int, block: np.ndarray) -> None:
-            u = block[:, r:r + J]
-            keep(n0, u, measure(u, n0))
+        def observe(n0: int, rows: np.ndarray) -> None:
+            u = rows[:, r:r + J]
+            keep(slice(n0, n0 + len(rows)), rows, u, measure(u, n0))
         return _march(u0, stencil, kb, N,
-                      None if keep is None else observe)
-    return N, march
+                      None if keep is None else observe, sources)
+    return kb, N, u0, march
 
 
 def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
@@ -623,22 +677,23 @@ def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
     """
     if record not in ("final", "sup_error", "full_history"):
         raise ValueError(f"unknown record mode {record!r}")
-    N, march = _interval_march(datum, grid, stencil, bc.outflow_order_kb, T,
-                               convention)
+    N = n_steps(T, grid.dt)
+    march = _interval_march(datum, grid, stencil, bc.outflow_order_kb, N,
+                            convention)[-1]
     track = record != "final"
     linf_hist = np.zeros(N + 1) if track else None
     l2_hist = np.zeros(N + 1) if track else None
     history = np.empty((N + 1, grid.J)) if record == "full_history" else None
-    dx = grid.dx
 
-    def keep(n0: int, u: np.ndarray, err: np.ndarray) -> None:
-        n1 = n0 + len(u)
-        np.maximum.reduce(err, axis=1, out=linf_hist[n0:n1])
-        np.sqrt(dx * _sum_squares(err), out=l2_hist[n0:n1])
+    def keep(span: slice, rows: np.ndarray, u: np.ndarray,
+             err: np.ndarray) -> None:
+        _norms(err, grid.dx, linf_hist[span], l2_hist[span])
         if history is not None:
-            history[n0:n1] = u
+            history[span] = u
 
     final = march(keep if track else None)
+    # a level that left the float range stays out, so errors vouch for it
+    _check_finite(final, linf_hist, l2_hist)
     return RunResult(grid=grid, stencil=stencil, bc=bc, datum=datum,
                      convention=convention, record=record, n_steps=N,
                      t_final=N * grid.dt, final_state=final,
@@ -684,21 +739,16 @@ def error_metrics(run: RunResult,
         measure = _meter(run.datum, run.grid, run.stencil.velocity_a,
                          convention)
         for i in range(0, len(levels), rows):
-            err = measure(levels[i:i + rows], first + i)
-            np.maximum.reduce(err, axis=1, out=linf_hist[i:i + rows])
-            np.sqrt(run.grid.dx * _sum_squares(err), out=l2_hist[i:i + rows])
-    if run.record == "final":
-        return ErrorReport(convention=convention,
-                           linf_final=float(linf_hist[0]),
-                           l2_final=float(l2_hist[0]),
-                           linf_sup=None, l2_sup=None, sup_at_step=None)
-    k = int(np.argmax(linf_hist))
+            _norms(measure(levels[i:i + rows], first + i), run.grid.dx,
+                   linf_hist[i:i + rows], l2_hist[i:i + rows])
+        _check_finite(linf_hist, l2_hist)
+    final, k = run.record == "final", int(np.argmax(linf_hist))
     return ErrorReport(convention=convention,
                        linf_final=float(linf_hist[-1]),
                        l2_final=float(l2_hist[-1]),
-                       linf_sup=float(linf_hist[k]),
-                       l2_sup=float(np.max(l2_hist)),
-                       sup_at_step=k)
+                       linf_sup=None if final else float(linf_hist[k]),
+                       l2_sup=None if final else float(np.max(l2_hist)),
+                       sup_at_step=None if final else k)
 
 
 @dataclass(frozen=True)
@@ -723,23 +773,26 @@ def convergence_study(datum, stencil: SchemeStencil, kb: int,
     """
     if list(J_list) != sorted(set(J_list)):
         raise ValueError("J_list must be strictly increasing")
-    kb = BoundarySpec(outflow_order_kb=kb).outflow_order_kb
     rows: list[ConvergenceRow] = []
     prev: tuple[int, float] | None = None
     for J in J_list:
         grid = GridSpec(L=L, J=J, lam=stencil.lam)
-        N, march = _interval_march(datum, grid, stencil, kb, T, convention)
+        N = n_steps(T, grid.dt)
+        march = _interval_march(datum, grid, stencil, kb, N, convention)[-1]
         linf = np.zeros(N + 1)
-        march(lambda n0, u, err: np.maximum.reduce(
-            err, axis=1, out=linf[n0:n0 + len(u)]))
+        march(lambda k, block, u, err: np.maximum.reduce(err, 1, out=linf[k]))
         sup = float(linf.max())
         order = float("nan")
         if prev is not None and sup > 0 and prev[1] > 0:
-            order = math.log(prev[1] / sup) / math.log(J / prev[0])
+            ratio = prev[1] / sup  # a difference of logs if it is 0 or inf
+            order = (math.log(ratio) if 0.0 < ratio < math.inf else
+                     math.log(prev[1]) - math.log(sup)) / math.log(J / prev[0])
         rows.append(ConvergenceRow(J=J, dx=grid.dx,
                                    error_final=float(linf[-1]),
                                    error_sup=sup, observed_order=order))
         prev = (J, sup)
+    # a sup error vouches for its run; a refusal of a later J comes first
+    _check_finite(np.array([row.error_sup for row in rows]))
     return rows
 
 
@@ -816,14 +869,9 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
     rounding), so the zero gate there cuts off nothing.  ``grid.lam`` must
     equal ``stencil.lam``.
     """
-    extrapolation_weights(kb)  # refuses a non-integer or negative order
-    steps = _integer(steps, "steps")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    _check_ratio(grid, stencil)
-    _check_march(steps, grid, stencil)
+    sources = None if sources is None else np.asarray(sources, dtype=float)
+    kb, steps, f0, march = _interval_march(datum, grid, stencil, kb, steps,
+                                           convention, sources)
     r, p = stencil.r, stencil.p
     if grid.J < r + kb:
         raise ValueError(f"window of {grid.J} cells cannot expose the "
@@ -831,43 +879,32 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
     smin = datum.support_min
     if smin is None:
         raise ValueError("half-line runs need the datum's support_min")
-    j_min = math.floor(smin / grid.dx + 1e-12) + 1
+    j_min = np.floor(smin / grid.dx + 1e-12) + 1  # +-inf for a far support
     reach = j_min - steps * p
     if reach < 1 + r:
         raise ValueError(
             "window too small: support can propagate to within "
-            f"{max(0, reach - 1)} cells of the artificial edge; pad the "
-            f"window by at least {1 + r - reach} more cells"
-        )
-    if sources is not None:
-        sources = np.asarray(sources, dtype=float)
-        if sources.shape != (steps + 1, p):
-            raise ValueError(f"sources must have shape ({steps + 1}, {p})")
+            f"{max(0, reach - 1):.0f} cells of the artificial edge; pad the "
+            f"window by at least {1 + r - reach:.0f} more cells")
+    if sources is not None and sources.shape != (steps + 1, p):
+        raise ValueError(f"sources must have shape ({steps + 1}, {p})")
 
     dx = grid.dx
-    f0 = initial_state(datum, grid, stencil, convention).interior
-
     lo = grid.J - kb  # array position of cell J+1-r-kb
-    n_trace = r + kb + p
-    traces = np.zeros((steps + 1, n_trace))
-    masses = np.zeros(steps + 1)
-    energies = np.zeros(steps + 1)
-    linf_hist = np.zeros(steps + 1)
-    l2_hist = np.zeros(steps + 1)
+    traces = np.zeros((steps + 1, r + kb + p))
+    masses, energies, linf_hist, l2_hist = (np.zeros(steps + 1)
+                                            for _ in range(4))
 
-    measure = _meter(datum, grid, stencil.velocity_a, convention)
+    def keep(span: slice, rows: np.ndarray, u: np.ndarray,
+             err: np.ndarray) -> None:
+        traces[span] = rows[:, lo:]  # to the last outflow ghost
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            masses[span] = dx * np.sum(u, axis=1)
+            energies[span] = dx * _sum_squares(u)
+        _norms(err, dx, linf_hist[span], l2_hist[span])
 
-    def observe(n0: int, block: np.ndarray) -> None:
-        n1 = n0 + len(block)
-        traces[n0:n1] = block[:, lo:lo + n_trace]
-        u = block[:, r:r + grid.J]
-        masses[n0:n1] = dx * np.sum(u, axis=1)
-        energies[n0:n1] = dx * _sum_squares(u)
-        err = measure(u, n0)
-        np.maximum.reduce(err, axis=1, out=linf_hist[n0:n1])
-        np.sqrt(dx * _sum_squares(err), out=l2_hist[n0:n1])
-
-    final = _march(f0, stencil, kb, steps, observe, sources=sources)
+    final = march(keep)
+    _check_finite(final, traces, masses, energies, linf_hist, l2_hist)
     return HalflineResult(grid=grid, stencil=stencil, kb=kb, steps=steps,
                           convention=convention, final_state=final,
                           initial_interior=f0, traces=traces, masses=masses,

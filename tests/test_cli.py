@@ -673,11 +673,11 @@ _HUGE = "1" + "0" * 400  # an integer past the float range
       "cell_average"], "L / J"),
     # (L - c)^3 overflows in the reference values
     (["run", "--scheme", "upwind", "--J", "7", "--T", "1", "--L", "1e308"],
-     "--L"),
+     "L = 1e+308 is too long"),
     (["convergence", "--scheme", "upwind", "--J-list", "7", "--T", "1",
-      "--L", "1e308"], "--L"),
+      "--L", "1e308"], "L = 1e+308 is too long"),
     (["run", "--J", "7", "--L", "1e200", "--convention", "cell_average"],
-     "--L"),
+     "L = 1e+200 is too long"),
     # about 2.9e14 steps: their list alone does not fit in memory
     (["run", "--scheme", "lax_friedrichs", "--a", "0.5", "--lambda", "1e-13",
       "--J", "40", "--L", "0.7"], "dt"),

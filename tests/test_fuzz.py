@@ -1,4 +1,4 @@
-"""A seeded grammar fuzz of the command line.
+"""A seeded grammar fuzz of the command line, and of the library under it.
 
 Each argv is drawn by a stdlib ``random.Random`` with a fixed seed from a
 small grammar over the five commands: builtin and custom stencil strings,
@@ -12,16 +12,28 @@ RuntimeWarning, and an exit-0 output may hold ``nan`` or ``inf`` only where
 it is labelled: an ``observed_order`` with no two nonzero errors to
 compare, or a report line that also gives the failed verdict.  Each command
 must also exit 0 at least once, so the grammar reaches past the refusals.
+
+The library gate draws the same values for direct calls of the drivers
+(``run_interval`` with ``error_metrics``, ``convergence_study``,
+``run_halfline_outflow``) and of ``reference_values``.  Each call must
+return finite numbers, raise a ``ValueError`` that names an input, or
+raise ``AssertionError("the march left the float range")``, without a
+RuntimeWarning, and each kind of call must return at least once.
 """
 import contextlib
 import io
 import math
 import random
+import re
 import warnings
 
+import numpy as np
 import pytest
 
-from transportbc import format_stencil, make_builtin
+from transportbc import (BoundarySpec, GridSpec, PowerPlusDatum,
+                         convergence_study, error_metrics, format_stencil,
+                         make_builtin, parse_stencil, reference_values,
+                         run_halfline_outflow, run_interval)
 from transportbc.cli import main
 
 SEEDS = (0, 1)
@@ -213,3 +225,107 @@ def test_cli_grammar_fuzz(seed):
     assert not failures, "\n".join(f"{a!r}: {m}" for a, m in failures[:20])
     # every command gets past the refusals too
     assert succeeded == set(COMMANDS), succeeded
+
+
+# -- the library under the command line ---------------------------------------
+
+LIBRARY_CALLS_PER_SEED = 3000
+KINDS = ("run", "convergence", "halfline", "reference")
+CONVENTIONS = ("midpoint", "cell_average")
+# a refusal names what it refuses: a field of the datum, grid, stencil,
+# closure or call, or the grid or stencil as a whole
+INPUT_NAMES = re.compile(
+    r"\b(L|J|T|dt|lam|lambda|velocity|k_b|steps|shift|convention|window|"
+    r"alpha|offset|offsets|interval length|coefficients|scheme|grid)\b")
+
+
+def _number(rng: random.Random, plain: list[str], odd: float = 0.1) -> float:
+    return float(_float(rng, plain, odd))
+
+
+def _library_call(rng: random.Random):
+    """``(kind, call)``: one drawn library call, whose ``call()`` builds
+    its datum, stencil and grid (their refusals count as its own) and
+    returns every number that the call returns."""
+    kind = rng.choice(KINDS)
+    c = _number(rng, ["0.5", "0.2", "0", "-0.3", "1"])
+    alpha = _number(rng, ["3", "2.6", "2.5", "1.5", "0.5"])
+    L = _number(rng, ["1", "0.7", "2"], 0.2)
+    J = rng.choice([1, 2, 3, 5, 7, 10, 20, 40, 40, 40])
+    T = _number(rng, ["0.5", "1", "0", "0.25"])
+    kb = rng.choice([0, 1, 2, 3] * 3 + [1100])
+    conv, other = rng.choice(CONVENTIONS), rng.choice(CONVENTIONS)
+    record = rng.choice(["final", "sup_error", "full_history"])
+    text = _custom(rng) if rng.random() < 0.5 else None
+    name = rng.choice(BUILTINS)
+    a = _number(rng, ["1", "0.5", "2"])
+    lam = _number(rng, ["0.5", "0.7", "0.9"])
+    J_list = sorted(rng.sample([1, 2, 3, 5, 7, 10, 20, 40], rng.randint(1, 3)))
+    steps = rng.choice([0, 1, 5, 20, -1])
+    g = ([_number(rng, ["0", "0.5", "-0.25"]) for _ in range(3)]
+         if rng.random() < 0.5 else None)
+    times = [_number(rng, ["0.5", "1", "0", "0.25"])
+             for _ in range(rng.choice([1, 1, 3]))]
+    shift_a = _number(rng, ["1", "0.5", "2", "-1"])
+
+    def call() -> list:
+        datum = PowerPlusDatum(c, alpha)
+        stencil = parse_stencil(text) if text else make_builtin(name, a, lam)
+        grid = GridSpec(L=L, J=J, lam=stencil.lam)
+        if kind == "run":
+            run = run_interval(datum, grid, stencil, BoundarySpec(kb), T,
+                               record=record, convention=conv)
+            rep = error_metrics(run, convention=other)
+            return [run.final_state, run.linf_history, run.l2_history,
+                    run.history, rep.linf_final, rep.l2_final, rep.linf_sup,
+                    rep.l2_sup]
+        if kind == "convergence":
+            rows = convergence_study(datum, stencil, kb, J_list, T, L=L,
+                                     convention=conv)
+            out = []
+            for i, row in enumerate(rows):
+                out += [row.dx, row.error_final, row.error_sup]
+                # no order without two nonzero errors
+                if i and 0.0 not in (row.error_sup, rows[i - 1].error_sup):
+                    out.append(row.observed_order)
+            return out
+        if kind == "halfline":
+            sources = None if g is None else np.resize(
+                g, (max(steps + 1, 0), stencil.p))
+            res = run_halfline_outflow(datum, grid, stencil, kb, steps,
+                                       sources=sources, convention=conv)
+            return [res.final_state, res.initial_interior, res.traces,
+                    res.masses, res.energies, res.linf_history,
+                    res.l2_history]
+        t = times if len(times) > 1 else times[0]
+        return [reference_values(datum, grid, t, shift_a, conv)]
+    return kind, call
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_library_fuzz(seed):
+    rng = random.Random(seed)
+    failures = []
+    returned = set()
+    for _ in range(LIBRARY_CALLS_PER_SEED):
+        kind, call = _library_call(rng)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = call()
+        except ValueError as exc:
+            if not INPUT_NAMES.search(str(exc)):
+                failures.append((kind, f"unnamed refusal: {exc}"))
+            continue
+        except AssertionError as exc:
+            if str(exc) != "the march left the float range":
+                failures.append((kind, f"AssertionError: {exc}"))
+            continue
+        except Exception as exc:  # a RuntimeWarning among them
+            failures.append((kind, f"{type(exc).__name__}: {exc}"))
+            continue
+        returned.add(kind)
+        if not all(np.isfinite(v).all() for v in values if v is not None):
+            failures.append((kind, "a returned number is not finite"))
+    assert not failures, "\n".join(f"{k}: {m}" for k, m in failures[:20])
+    assert returned == set(KINDS), returned

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +285,70 @@ def test_step_matches_scalar_oracle():
 
 _KINK = PowerPlusDatum(0.55, 2.5)
 _GRID40 = GridSpec(L=1.0, J=40, lam=LW.lam)
+
+# symbol -2 at theta = pi: a level grows by 2 a step, passing 1e154 (its
+# squares overflow) near step 700 and 1e308 near step 1030
+_UNSTABLE = SchemeStencil(r=1, p=1, coeffs=(1.2, -0.5, 0.3), velocity_a=1.0,
+                          lam=0.7)
+_U01 = PowerPlusDatum(0.5, 3.0)
+_FAR = GridSpec(L=1e200, J=40, lam=0.7)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # (L - c)^3 overflows in the midpoint samples and the cell averages
+    (lambda: run_interval(_U01, _FAR, LW, BoundarySpec(1), 0.5),
+     ValueError, r"^L = 1e\+200 is too long"),
+    (lambda: run_interval(_U01, _FAR, LW, BoundarySpec(1), 0.5,
+                          convention="cell_average"),
+     ValueError, r"^L = 1e\+200 is too long"),
+    (lambda: run_halfline_outflow(PowerPlusDatum(5e199, 3.0), _FAR, LW,
+                                  kb=1, steps=5),
+     ValueError, r"^L = 1e\+200 is too long"),
+    (lambda: reference_values(_U01, _FAR, 0.5, 1.0, "midpoint"),
+     ValueError, r"^L = 1e\+200 is too long"),
+    (lambda: initial_state(_U01, _FAR, LW), ValueError,
+     r"^L = 1e\+200 is too long"),
+    # the datum moved 4e301 cells: the shifted edges lose the cell width
+    (lambda: reference_values(_U01, GridSpec(1.0, 40, 1e-300), 1.0, 1e300,
+                              "cell_average"),
+     ValueError, r"^the shift a t = 1e\+300 moves .* more than 2\*\*40$"),
+    # shifted left the datum is evaluated right of L: by 1e10 its power
+    # 40 overflows, by 1e300 its shifted edges lose the cell width
+    (lambda: reference_values(PowerPlusDatum(0.5, 40.0), _GRID40, 1e10, -1.0,
+                              "midpoint"),
+     ValueError, r"^L = 1\.0 with the shift a t = -10000000000\.0 is too "),
+    (lambda: reference_values(_U01, _GRID40, 1e300, -1.0, "cell_average"),
+     ValueError, r"^the shift a t = -1e\+300 moves .* more than 2\*\*40$"),
+    (lambda: reference_values(_U01, _GRID40, [0.0, math.inf], 0.0,
+                              "midpoint"),
+     ValueError, r"^the shift a t is not finite \(a = 0\.0\)$"),
+    # the march passes 1e308: its level and errors are inf and nan
+    (lambda: run_interval(_U01, _GRID40, _UNSTABLE, BoundarySpec(1), 400),
+     AssertionError, "^the march left the float range$"),
+    (lambda: run_interval(_U01, _GRID40, _UNSTABLE, BoundarySpec(1), 400,
+                          record="final"),
+     AssertionError, "^the march left the float range$"),
+    (lambda: convergence_study(_U01, _UNSTABLE, 1, [40], 400),
+     AssertionError, "^the march left the float range$"),
+    # finite levels near 1e207 whose l2 errors overflow
+    (lambda: run_interval(_U01, _GRID40, _UNSTABLE, BoundarySpec(1), 16),
+     AssertionError, "^the march left the float range$"),
+    (lambda: error_metrics(run_interval(_U01, _GRID40, _UNSTABLE,
+                                        BoundarySpec(1), 16, record="final")),
+     AssertionError, "^the march left the float range$"),
+], ids=["run_midpoint", "run_cell_average", "halfline", "reference_values",
+        "initial_state", "reference_values_shift",
+        "reference_values_left_shift", "reference_values_far_left_shift",
+        "reference_values_inf_shift",
+        "unstable_run",
+        "unstable_final", "unstable_convergence", "l2_overflow",
+        "l2_overflow_remeasured"])
+def test_the_library_refuses_what_leaves_the_float_range(call, error,
+                                                         message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            call()
 
 
 @pytest.mark.parametrize("call, name", [
