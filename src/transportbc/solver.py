@@ -29,14 +29,17 @@ The three drivers, ``run_interval``, ``convergence_study`` and
 ``run_halfline_outflow``, share one set-up, ``_interval_march``.  Its
 meter, built once per run around the evaluator of ``reference_values``
 (which binds the grid coordinates, the floor of ``support_min`` and the
-branch for the datum and the convention), measures each full block at
-once: its shifts, its first live column, the datum there and its errors
-``|u - ref|``, of which each driver reduces only the norms it returns
-(``convergence_study`` the sup norm alone).  A reference value is the
-datum shifted by ``a t`` and cut to zero at ``x <= 0``, the exact
-solution of the interval problem.  Left of the first cell the shifted
-support can reach (with a margin of one cell) it is exactly zero, so it
-is not evaluated and the error there is the level itself.  Gauss cell
+branch for the datum and the convention), measures a full block at once:
+its shifts, its first live column, the datum there and its errors
+``|u - ref|``.  A driver calls it only for the norms it returns
+(``convergence_study`` the sup norm alone); a half-line run, whose
+stability functional reads no errors, calls it only when its error
+histories are first read, on a second march from the same start.  A
+reference value is the datum shifted by ``a t`` and cut to zero at
+``x <= 0``, the exact solution of the interval problem.  Left of the
+first cell the shifted support can reach (with a margin of one cell) it
+is exactly zero, so it is not evaluated and the error there is the level
+itself.  Gauss cell
 averages (16 datum evaluations per cell) also skip each level's own
 unreachable cells and call the datum once per group of nodes; a power
 cell average takes the antiderivative once per shifted edge.  The norms,
@@ -48,7 +51,8 @@ plain arrays of level interiors; a ``FieldState`` is built only by
 ``initial_state`` and ``step``.  A power datum that overflows on ``(0, L]``
 is refused where it is first evaluated (``_check_range``), and a march whose
 returned arrays left the float range raises ``AssertionError``
-(``_check_finite``).
+(``_check_finite``; for a half-line run's error histories, on their
+first read).
 
 Reported error tables use the midpoint convention with the sup-over-steps
 statistic; both statistics are always emitted so the choice stays visible.
@@ -57,7 +61,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -294,15 +299,21 @@ def _check_range(datum, grid: GridSpec, least: float = 0.0) -> None:
     if not isinstance(datum, PowerPlusDatum):
         return
     _check_shift(-least / grid.dx, f"the shift a t = {least!r}")
-    top = grid.L - min(least, 0.0) - datum.c  # the largest base of the power
-    if not top > 1.0:
-        return  # a base up to 1 cannot overflow
-    log_top = math.log(top)  # inf if the base overflowed
-    if max((datum.alpha + 1.0) * log_top,
-           2.0 * datum.alpha * log_top + math.log(grid.J)) > _LOG_RANGE:
+    if _overflows(datum, grid.L - min(least, 0.0), grid.J):
         moved = f" with the shift a t = {least!r}" if least < 0.0 else ""
         raise ValueError(f"L = {grid.L!r}{moved} is too long: the reference "
                          "values of the datum on (0, L] overflow")
+
+
+def _overflows(datum: PowerPlusDatum, right: float, cells: int) -> bool:
+    """Whether the power datum at some ``x <= right``, its antiderivative or
+    the sum of ``cells`` of its squares passes ``_LOG_RANGE``."""
+    top = right - datum.c  # the largest base of the power
+    if not top > 1.0:
+        return False  # a base up to 1 cannot overflow
+    log_top = math.log(top)  # inf if the base overflowed
+    return max((datum.alpha + 1.0) * log_top,
+               2.0 * datum.alpha * log_top + math.log(cells)) > _LOG_RANGE
 
 
 def _check_shift(cells: float, moved: str, span: str = "") -> None:
@@ -523,8 +534,9 @@ def _norms(err: np.ndarray, dx: float, linf: np.ndarray,
         np.sqrt(dx * _sum_squares(err), out=l2)
 
 
-def _check_finite(*arrays: np.ndarray | None) -> None:
-    """Refuse a march's returned arrays (None skipped) past the float range."""
+def _check_finite(*arrays: np.ndarray | float | None) -> None:
+    """Refuse a march's returned arrays or numbers (None skipped) past the
+    float range."""
     if not all(np.isfinite(a).all() for a in arrays if a is not None):
         raise AssertionError("the march left the float range")
 
@@ -638,11 +650,15 @@ def _interval_march(datum, grid: GridSpec, stencil: SchemeStencil, kb: int,
                     sources: np.ndarray | None = None) -> tuple:
     """Check and set up a march of ``N`` steps (the outflow order ``kb``,
     convention, ``dt / dx`` ratio, ``_check_march``, the datum's range),
-    as ``(kb, N, u0, march)``.  ``march(keep)`` marches from ``u0`` with
-    the outflow ``sources``, if any, and returns the last interior;
-    ``keep(span, rows, u, err)``, if given, gets each block: its ``slice``
-    of the levels, its rows (ghosts included, overwritten after the call),
-    interiors and errors ``|u - ref|`` (the meter's)."""
+    as ``(kb, N, u0, measure, march)``.  ``measure`` is the run's meter
+    (``_meter``, built here, so its range check comes from the call).
+    ``march(keep)`` marches from ``u0`` with the outflow ``sources``, if
+    any, and returns the last interior; it may be called again, and
+    repeats every level bit for bit.  ``keep(span, rows, u)``, if given,
+    gets each block: its ``slice`` of the levels, its rows (ghosts
+    included, overwritten after the call) and interiors.  Errors are
+    measured only by a driver that wants them, as
+    ``measure(u, span.start)``: the errors ``|u - ref|`` of the block."""
     kb = BoundarySpec(kb).outflow_order_kb
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -657,11 +673,10 @@ def _interval_march(datum, grid: GridSpec, stencil: SchemeStencil, kb: int,
 
     def march(keep: Callable | None) -> np.ndarray:
         def observe(n0: int, rows: np.ndarray) -> None:
-            u = rows[:, r:r + J]
-            keep(slice(n0, n0 + len(rows)), rows, u, measure(u, n0))
+            keep(slice(n0, n0 + len(rows)), rows, rows[:, r:r + J])
         return _march(u0, stencil, kb, N,
                       None if keep is None else observe, sources)
-    return kb, N, u0, march
+    return kb, N, u0, measure, march
 
 
 def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
@@ -678,16 +693,16 @@ def run_interval(datum, grid: GridSpec, stencil: SchemeStencil,
     if record not in ("final", "sup_error", "full_history"):
         raise ValueError(f"unknown record mode {record!r}")
     N = n_steps(T, grid.dt)
-    march = _interval_march(datum, grid, stencil, bc.outflow_order_kb, N,
-                            convention)[-1]
+    *_, measure, march = _interval_march(datum, grid, stencil,
+                                         bc.outflow_order_kb, N, convention)
     track = record != "final"
     linf_hist = np.zeros(N + 1) if track else None
     l2_hist = np.zeros(N + 1) if track else None
     history = np.empty((N + 1, grid.J)) if record == "full_history" else None
 
-    def keep(span: slice, rows: np.ndarray, u: np.ndarray,
-             err: np.ndarray) -> None:
-        _norms(err, grid.dx, linf_hist[span], l2_hist[span])
+    def keep(span: slice, rows: np.ndarray, u: np.ndarray) -> None:
+        _norms(measure(u, span.start), grid.dx, linf_hist[span],
+               l2_hist[span])
         if history is not None:
             history[span] = u
 
@@ -778,9 +793,11 @@ def convergence_study(datum, stencil: SchemeStencil, kb: int,
     for J in J_list:
         grid = GridSpec(L=L, J=J, lam=stencil.lam)
         N = n_steps(T, grid.dt)
-        march = _interval_march(datum, grid, stencil, kb, N, convention)[-1]
+        *_, measure, march = _interval_march(datum, grid, stencil, kb, N,
+                                             convention)
         linf = np.zeros(N + 1)
-        march(lambda k, block, u, err: np.maximum.reduce(err, 1, out=linf[k]))
+        march(lambda k, block, u: np.maximum.reduce(measure(u, k.start), 1,
+                                                    out=linf[k]))
         sup = float(linf.max())
         order = float("nan")
         if prev is not None and sup > 0 and prev[1] > 0:
@@ -815,6 +832,24 @@ def consistency_error_field(datum, grid: GridSpec, stencil: SchemeStencil,
     _check_ratio(grid, stencil)
     a = stencil.velocity_a
     dx, dt = grid.dx, grid.dt
+    # the wider window, of the previous level: its edges x_{j0-1} .. x_{j1}
+    # shifted by a t^{n-1}, the least shift, are refused as a run's would be
+    j0, j1 = j_lo - stencil.r, j_hi + stencil.p
+    cells = j1 - j0 + 1
+    if cells > _MAX_LEVEL_CELLS:
+        raise ValueError(f"window ({j_lo}, {j_hi}) of {cells:.3g} cells is "
+                         f"more than the cap of {_MAX_LEVEL_CELLS:.3g}")
+    far = max(abs(j0 - 1), abs(j1))
+    if far > 2 ** 40:
+        raise ValueError(f"window ({j_lo}, {j_hi}) reaches {far:.3g} cells "
+                         "from x = 0, more than 2**40")
+    _check_shift(a * stencil.lam * n, f"velocity {a!r} times lambda "
+                 f"{stencil.lam!r}", f" by time index {n}")
+    if isinstance(datum, PowerPlusDatum) and \
+            _overflows(datum, dx * j1 - a * ((n - 1) * dt), cells):
+        raise ValueError(f"window ({j_lo}, {j_hi}) of L = {grid.L!r} reaches "
+                         "too far: the cell averages of the datum on it "
+                         "overflow")
 
     def averages(j0: int, j1: int, t: float) -> np.ndarray:
         edges = dx * np.arange(j0 - 1, j1 + 1)
@@ -836,6 +871,14 @@ class HalflineResult:
     (ghosts filled with that level's sources), so ``traces[-1]`` carries
     the final outflow ghosts; ``masses``/``energies`` are ``dx * sum`` and
     ``dx * sum of squares`` over the window interior.
+
+    ``linf_history``/``l2_history`` are each level's l-infinity and l2
+    error against ``reference_values``.  The run does not measure them:
+    the first read of either marches again from the run's own start and
+    sources, which give the same levels bit for bit, and measures both,
+    which calls the datum again (so it must not change in between); both
+    are then kept.  An error history past the float range raises
+    ``AssertionError`` on that read, and on every later one.
     """
 
     grid: GridSpec
@@ -848,9 +891,25 @@ class HalflineResult:
     traces: np.ndarray
     masses: np.ndarray
     energies: np.ndarray
-    linf_history: np.ndarray
-    l2_history: np.ndarray
     sources: np.ndarray | None
+    # () -> (linf, l2): the run's second march, measured
+    _errors: Callable[[], tuple] | None = field(default=None, repr=False,
+                                                compare=False)
+
+    @cached_property
+    def _histories(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._errors is None:
+            raise ValueError("no error histories: this result was not "
+                             "returned by run_halfline_outflow")
+        return self._errors()
+
+    @property
+    def linf_history(self) -> np.ndarray:
+        return self._histories[0]
+
+    @property
+    def l2_history(self) -> np.ndarray:
+        return self._histories[1]
 
 
 def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
@@ -864,14 +923,19 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
     it during ``steps`` steps (support spreads left by ``p`` cells per step).
     ``sources`` has shape ``(steps+1, p)``: row n supplies ``g_{J+1..J+p}``
     for the level-n ghost fill (row ``steps`` only feeds the final trace).
-    Errors are measured against ``reference_values``, as on the interval;
-    the window check keeps the datum's support right of ``x = 0`` (to
-    rounding), so the zero gate there cuts off nothing.  ``grid.lam`` must
-    equal ``stencil.lam``.
+    The run measures no errors; the result's error histories are measured
+    against ``reference_values``, as on the interval, when first read (see
+    ``HalflineResult``), from copies of the start and ``sources`` taken
+    here.  Every refusal (the datum's range, the window, the trace, the
+    sources) comes from this call.  The window check keeps the datum's
+    support right of ``x = 0`` (to rounding), so the zero gate of the
+    reference values cuts off nothing.  ``grid.lam`` must equal
+    ``stencil.lam``.
     """
     sources = None if sources is None else np.asarray(sources, dtype=float)
-    kb, steps, f0, march = _interval_march(datum, grid, stencil, kb, steps,
-                                           convention, sources)
+    kb, steps, u0, measure, march = _interval_march(
+        datum, grid, stencil, kb, steps, convention,
+        None if sources is None else sources.copy())
     r, p = stencil.r, stencil.p
     if grid.J < r + kb:
         raise ValueError(f"window of {grid.J} cells cannot expose the "
@@ -892,24 +956,28 @@ def run_halfline_outflow(datum, grid: GridSpec, stencil: SchemeStencil,
     dx = grid.dx
     lo = grid.J - kb  # array position of cell J+1-r-kb
     traces = np.zeros((steps + 1, r + kb + p))
-    masses, energies, linf_hist, l2_hist = (np.zeros(steps + 1)
-                                            for _ in range(4))
+    masses, energies = np.zeros(steps + 1), np.zeros(steps + 1)
 
-    def keep(span: slice, rows: np.ndarray, u: np.ndarray,
-             err: np.ndarray) -> None:
+    def keep(span: slice, rows: np.ndarray, u: np.ndarray) -> None:
         traces[span] = rows[:, lo:]  # to the last outflow ghost
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             masses[span] = dx * np.sum(u, axis=1)
             energies[span] = dx * _sum_squares(u)
-        _norms(err, dx, linf_hist[span], l2_hist[span])
+
+    def errors() -> tuple[np.ndarray, np.ndarray]:
+        linf, l2 = np.zeros(steps + 1), np.zeros(steps + 1)
+        march(lambda span, rows, u: _norms(measure(u, span.start), dx,
+                                           linf[span], l2[span]))
+        _check_finite(linf, l2)
+        return linf, l2
 
     final = march(keep)
-    _check_finite(final, traces, masses, energies, linf_hist, l2_hist)
+    _check_finite(final, traces, masses, energies)
     return HalflineResult(grid=grid, stencil=stencil, kb=kb, steps=steps,
                           convention=convention, final_state=final,
-                          initial_interior=f0, traces=traces, masses=masses,
-                          energies=energies, linf_history=linf_hist,
-                          l2_history=l2_hist, sources=sources)
+                          initial_interior=u0.copy(), traces=traces,
+                          masses=masses, energies=energies, sources=sources,
+                          _errors=errors)
 
 
 @dataclass(frozen=True)
@@ -929,20 +997,31 @@ def stability_functional_ratio(run: HalflineResult,
           + sum_n dt exp(-2 gamma n dt) * sum_{l=1..p} g_{J+l}^2,
     both over the computed horizon n = 0..steps.  The ratio lhs/rhs is the
     empirical stability constant; it is 0 when both sides vanish and inf when
-    only the right side does.
+    only the right side does.  Any finite positive ``gamma`` is taken: a
+    weight may underflow to 0, and one whose exponent is finite is not lost
+    to an overflow on the way.  A side, or a ratio of two finite sides,
+    past the float range raises ``AssertionError``.
     """
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValueError("gamma must be positive and finite")
     dt = run.grid.dt
     n = np.arange(run.steps + 1)
-    w = np.exp(-2.0 * gamma * n * dt)
-    lhs = float(np.max(w * run.energies))
-    lhs += dt * float(np.sum(w * np.sum(run.traces ** 2, axis=1)))
-    rhs = float(run.energies[0])
-    if run.sources is not None and run.stencil.p > 0:
-        rhs += dt * float(np.sum(w * np.sum(run.sources ** 2, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        x = -2.0 * gamma * n * dt
+        # where -2 gamma n left the float range (-inf, or nan at n = 0), the
+        # exponent in an order that is -inf only if the exponent itself is
+        out = ~np.isfinite(x)
+        x[out] = -2.0 * (gamma * (n[out] * dt))
+        w = np.exp(x)
+        lhs = float(np.max(w * run.energies))
+        lhs += dt * float(np.sum(w * np.sum(run.traces ** 2, axis=1)))
+        rhs = float(run.energies[0])
+        if run.sources is not None and run.stencil.p > 0:
+            rhs += dt * float(np.sum(w * np.sum(run.sources ** 2, axis=1)))
+    _check_finite(lhs, rhs)
     if rhs == 0.0:
         ratio = 0.0 if lhs == 0.0 else float("inf")
     else:
         ratio = lhs / rhs
+        _check_finite(ratio)
     return FunctionalRatio(lhs=lhs, rhs=rhs, ratio=ratio)

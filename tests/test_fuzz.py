@@ -15,7 +15,8 @@ must also exit 0 at least once, so the grammar reaches past the refusals.
 
 The library gate draws the same values for direct calls of the drivers
 (``run_interval`` with ``error_metrics``, ``convergence_study``,
-``run_halfline_outflow``) and of ``reference_values``.  Each call must
+``run_halfline_outflow``, whose result also feeds
+``stability_functional_ratio``) and of ``reference_values``.  Each call must
 return finite numbers, raise a ``ValueError`` that names an input, or
 raise ``AssertionError("the march left the float range")``, without a
 RuntimeWarning, and each kind of call must return at least once.
@@ -33,7 +34,8 @@ import pytest
 from transportbc import (BoundarySpec, GridSpec, PowerPlusDatum,
                          convergence_study, error_metrics, format_stencil,
                          make_builtin, parse_stencil, reference_values,
-                         run_halfline_outflow, run_interval)
+                         run_halfline_outflow, run_interval,
+                         stability_functional_ratio)
 from transportbc.cli import main
 
 SEEDS = (0, 1)
@@ -236,7 +238,9 @@ CONVENTIONS = ("midpoint", "cell_average")
 # closure or call, or the grid or stencil as a whole
 INPUT_NAMES = re.compile(
     r"\b(L|J|T|dt|lam|lambda|velocity|k_b|steps|shift|convention|window|"
-    r"alpha|offset|offsets|interval length|coefficients|scheme|grid)\b")
+    r"alpha|offset|offsets|interval length|coefficients|scheme|grid|gamma)\b")
+# the weight exponent -2 gamma n dt at both ends of the float range
+GAMMAS = (1e-300, 1.0, 1e300, 8.98e307, 1e308)
 
 
 def _number(rng: random.Random, plain: list[str], odd: float = 0.1) -> float:
@@ -267,6 +271,7 @@ def _library_call(rng: random.Random):
     times = [_number(rng, ["0.5", "1", "0", "0.25"])
              for _ in range(rng.choice([1, 1, 3]))]
     shift_a = _number(rng, ["1", "0.5", "2", "-1"])
+    gamma = rng.choice(GAMMAS)
 
     def call() -> list:
         datum = PowerPlusDatum(c, alpha)
@@ -294,9 +299,12 @@ def _library_call(rng: random.Random):
                 g, (max(steps + 1, 0), stencil.p))
             res = run_halfline_outflow(datum, grid, stencil, kb, steps,
                                        sources=sources, convention=conv)
+            out = stability_functional_ratio(res, gamma)
+            # the ratio is inf by definition when only its right side is 0
             return [res.final_state, res.initial_interior, res.traces,
                     res.masses, res.energies, res.linf_history,
-                    res.l2_history]
+                    res.l2_history, out.lhs, out.rhs] + (
+                        [out.ratio] if out.rhs else [])
         t = times if len(times) > 1 else times[0]
         return [reference_values(datum, grid, t, shift_a, conv)]
     return kind, call

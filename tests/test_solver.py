@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -336,13 +337,16 @@ _FAR = GridSpec(L=1e200, J=40, lam=0.7)
     (lambda: error_metrics(run_interval(_U01, _GRID40, _UNSTABLE,
                                         BoundarySpec(1), 16, record="final")),
      AssertionError, "^the march left the float range$"),
+    # the exact cell averages on the window, x up to 1e200, overflow
+    (lambda: consistency_error_field(_U01, _FAR, LW, 1, (1, 3)),
+     ValueError, r"^window \(1, 3\) of L = 1e\+200 reaches too far"),
 ], ids=["run_midpoint", "run_cell_average", "halfline", "reference_values",
         "initial_state", "reference_values_shift",
         "reference_values_left_shift", "reference_values_far_left_shift",
         "reference_values_inf_shift",
         "unstable_run",
         "unstable_final", "unstable_convergence", "l2_overflow",
-        "l2_overflow_remeasured"])
+        "l2_overflow_remeasured", "consistency_window"])
 def test_the_library_refuses_what_leaves_the_float_range(call, error,
                                                          message):
     with warnings.catch_warnings():
@@ -389,8 +393,22 @@ def test_non_integer_counts_are_refused(call, name):
     (lambda: consistency_error_field(_KINK, _GRID40, LW, n=1,
                                      window=(23, 21)),
      "empty index window"),
+    # past 2**40 cells from x = 0 the edges lose the cell width
+    (lambda: consistency_error_field(_KINK, _GRID40, LW, n=1,
+                                     window=(10 ** 14, 10 ** 14 + 2)),
+     r"^window \(100000000000000, 100000000000002\) reaches 1e\+14 cells "
+     r"from x = 0, more than 2\*\*40$"),
+    (lambda: consistency_error_field(_KINK, _GRID40, LW, n=10 ** 15,
+                                     window=(21, 23)),
+     r"^velocity 1\.0 times lambda 0\.7 moves the datum 7e\+14 cells by "
+     r"time index 1000000000000000, more than 2\*\*40$"),
+    (lambda: consistency_error_field(_KINK, _GRID40, LW, n=1,
+                                     window=(1, 2 ** 24)),
+     r"^window \(1, 16777216\) of 1\.68e\+07 cells is more than the cap"),
 ], ids=["halfline_steps", "halfline_convention", "halfline_window",
-        "interval_convention", "metrics_convention", "consistency_window"])
+        "interval_convention", "metrics_convention", "consistency_window",
+        "consistency_far_window", "consistency_far_time",
+        "consistency_long_window"])
 def test_out_of_range_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -572,6 +590,56 @@ def test_halfline_diagnostics_match_direct_sums():
         float(np.max(np.abs(u_end - ref))))
 
 
+@pytest.mark.parametrize("datum, grid, kb, sources, message", [
+    (PowerPlusDatum(5e199, 3.0), GridSpec(L=1e200, J=40, lam=0.7), 1, None,
+     r"^L = 1e\+200 is too long"),
+    (_bump(x0=0.1), GridSpec(L=1.0, J=20, lam=0.7), 1, None,
+     "^window too small"),
+    (_bump(), GridSpec(L=1.0, J=2, lam=0.7), 2, None, "^window of 2 cells"),
+    (_bump(), GridSpec(L=1.0, J=20, lam=0.7), 1, np.zeros((10, 1)),
+     r"^sources must have shape \(11, 1\)$"),
+], ids=["range", "window", "trace", "sources"])
+def test_halfline_refusals_come_from_the_call(datum, grid, kb, sources,
+                                              message):
+    # the errors are measured on their first read, the checks at the call
+    with pytest.raises(ValueError, match=message):
+        run_halfline_outflow(datum, grid, LW, kb, steps=10, sources=sources)
+
+
+def test_halfline_errors_read_later_are_those_of_the_call():
+    # the first read marches again from the run's own copies of its start
+    # and sources, so changing the caller's arrays, or the result's, in
+    # between changes nothing
+    grid = GridSpec(L=1.0, J=30, lam=0.7)
+    sources = np.random.default_rng(3).uniform(-0.5, 0.5, (8, LW.p))
+    want = run_halfline_outflow(_bump(), grid, LW, 2, 7, sources=sources)
+    want = (want.linf_history, want.l2_history)
+    res = run_halfline_outflow(_bump(), grid, LW, 2, 7, sources=sources)
+    sources[:] = 0.0
+    res.initial_interior[:] = 0.0
+    assert res.sources is sources  # the caller's float array, as returned
+    assert np.array_equal(res.linf_history, want[0])
+    assert np.array_equal(res.l2_history, want[1])
+
+
+def test_halfline_error_overflow_is_raised_on_read():
+    # u_j^{n+1} = -u_j^n: every level is finite, as are its mass and
+    # energy, but at odd levels |u - ref| is twice the datum's 2e153 on
+    # about 19 cells, whose squares' sum overflows
+    flip = SchemeStencil(r=0, p=0, coeffs=(-1.0,), velocity_a=1.0, lam=0.7)
+    box = CallableDatum(lambda x: np.where(x > 0.5, 2e153, 0.0),
+                        support_min=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_halfline_outflow(box, GridSpec(L=1.0, J=40, lam=0.7),
+                                   flip, 1, steps=3)
+        assert np.isfinite(res.energies).all()
+        for _ in range(2):  # a failed read is not kept
+            with pytest.raises(AssertionError,
+                               match="^the march left the float range$"):
+                res.l2_history
+
+
 def test_runs_reject_grids_smaller_than_the_closure():
     # the march fills the outflow ghosts of every level, the last one of a
     # zero-step run included, so a zero-step run is refused like any other
@@ -661,6 +729,38 @@ def test_stability_functional_rejects_non_finite_gamma():
     for bad in (math.inf, math.nan, -math.inf):
         with pytest.raises(ValueError):
             stability_functional_ratio(res, bad)
+
+
+def test_stability_functional_takes_every_finite_gamma():
+    # -2 gamma is -inf from about 8.99e307 on, and -inf * 0 is nan; from
+    # 8.98e307 on -2 gamma n overflows at n = 2.  Every weight but the
+    # first underflows to 0, so both sides are their level-0 terms
+    grid = GridSpec(L=1.0, J=40, lam=0.7)
+    res = run_halfline_outflow(_bump(0.8), grid, LW, 1, steps=4)
+    lhs = res.energies[0] + grid.dt * float(np.sum(res.traces[0] ** 2))
+    assert lhs > res.energies[0] > 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma in (8.98e307, 1e308, sys.float_info.max):
+            out = stability_functional_ratio(res, gamma)
+            assert out.lhs == pytest.approx(lhs, rel=1e-14), gamma
+            assert out.rhs == res.energies[0], gamma
+            assert out.ratio == pytest.approx(lhs / res.energies[0],
+                                              rel=1e-14), gamma
+
+
+def test_stability_functional_refuses_a_ratio_past_the_float_range():
+    # u^1 = 1e155 u^0: both sides are finite, their ratio about 1e310
+    grow = SchemeStencil(r=0, p=0, coeffs=(1e155,), velocity_a=1.0, lam=0.7)
+    box = CallableDatum(lambda x: np.where(x > 0.5, 0.01, 0.0),
+                        support_min=0.5)
+    res = run_halfline_outflow(box, GridSpec(L=1.0, J=40, lam=0.7), grow, 1,
+                               steps=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssertionError,
+                           match="^the march left the float range$"):
+            stability_functional_ratio(res, 1.0)
 
 
 # -- the march against a loop of public step() calls -------------------------
@@ -1321,13 +1421,25 @@ def test_datum_is_evaluated_only_on_live_columns():
                         record="full_history", convention="cell_average")
     assert lowest_point(
         lambda: error_metrics(full, convention="midpoint"), 2) >= floor
-    assert lowest_point(
-        lambda: run_halfline_outflow(d, grid, LW, 1, 20,
-                                     convention="midpoint"), 2) >= floor
-    assert points(lambda: run_halfline_outflow(d, grid, LW, 1, 20,
-                                               convention="cell_average")) \
-        == quadrature_points(np.arange(21) * grid.dt) \
-        + quadrature_points(0.0)
+    # a half-line run measures no errors: it evaluates the datum only for
+    # its start, the t = 0 quadrature or one 1-D call of midpoint samples
+    steps, half = 20, {}
+
+    def halfline(conv):
+        half[conv] = run_halfline_outflow(d, grid, LW, 1, steps,
+                                          convention=conv)
+    assert points(lambda: halfline("cell_average")) == quadrature_points(0.0)
+    assert points(lambda: halfline("midpoint")) == grid.J
+    assert [x.ndim for x in calls] == [1]
+    # the first read of an error history measures every level on its live
+    # columns; a second read, or a read of the other history, evaluates
+    # nothing
+    assert points(lambda: half["cell_average"].linf_history) \
+        == quadrature_points(np.arange(steps + 1) * grid.dt)
+    assert lowest_point(lambda: half["midpoint"].linf_history, 2) >= floor
+    for res in half.values():
+        assert points(lambda: res.linf_history) == 0
+        assert points(lambda: res.l2_history) == 0
 
 
 def test_nothing_is_skipped_when_coordinates_dwarf_the_cell_width():
