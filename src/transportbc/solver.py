@@ -31,12 +31,13 @@ meter, built once per run around the evaluator of ``reference_values``
 (which binds the grid coordinates, the floor of ``support_min`` and the
 branch for the datum and the convention), measures a full block at once:
 its shifts, its first live column, the datum there and its errors
-``|u - ref|``.  A driver calls it only for the norms it returns
-(``convergence_study`` the sup norm alone); a half-line run, whose
-stability functional reads no errors, calls it only when its error
-histories are first read, on a second march from the same start.  A
-reference value is the datum shifted by ``a t`` and cut to zero at
-``x <= 0``, the exact solution of the interval problem.  Left of the
+``|u - ref|``.  A driver calls it only for the norms it returns:
+``convergence_study`` the sup norm alone, which ``_block_sup`` reduces
+from each block's levels and reference values with no error block; a
+half-line run, whose stability functional reads no errors, calls it only
+when its error histories are first read, on a second march from the same
+start.  A reference value is the datum shifted by ``a t`` and cut to zero
+at ``x <= 0``, the exact solution of the interval problem.  Left of the
 first cell the shifted support can reach (with a margin of one cell) it
 is exactly zero, so it is not evaluated and the error there is the level
 itself.  Gauss cell
@@ -80,12 +81,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 # Cells of one block of time levels measured together, and the most entries
 # in one stack of Gauss nodes.  The block and the reference-value
-# temporaries built from it add to the peak memory of a run.  On the
-# ``refine`` benchmark ``2**15`` alone took about 9% off the wall time of
-# ``2**14`` for 1.8% more peak memory, which fewer temporaries in
-# ``reference_values`` bring back to about 1%; ``2**16`` was no faster and
-# cost 4.3% more memory.
-_BLOCK_ENTRIES = 2 ** 15
+# temporaries built from it add to the peak memory of a run.  Once
+# ``convergence_study`` reduced each block straight to its sup norm, most
+# of what a block costs was fixed, so fewer blocks paid: on the ``refine``
+# benchmark (10 s runs, seed 5, medians of 5; a 2-vCPU Xeon, numpy 2.4.6)
+# ``2**15`` read 0.560 s and 49.8 MB, ``2**16`` 0.535 s and 50.5 MB, and
+# ``2**17`` 0.560 s and 52.0 MB, 4.5% more memory than ``2**15`` for no
+# time.
+_BLOCK_ENTRIES = 2 ** 16
 
 # Widest stencil applied with ``np.correlate``.  Up to this width numpy
 # runs its own small-kernel loop (on a 2,572-cell level 3.6 us at width 3,
@@ -147,6 +150,11 @@ class GridSpec:
         if not math.isfinite(self.dt):
             raise ValueError("time step dt = lambda * L / J overflows "
                              f"(lambda = {self.lam!r})")
+        if not self.dt >= sys.float_info.min:
+            # a subnormal or zero step has no relative precision left
+            # either, and a run at it gives its outflow sources no weight
+            raise ValueError(f"time step dt = lambda * L / J = {self.dt!r} "
+                             "is too small: not a positive normal float")
 
     @property
     def dx(self) -> float:
@@ -554,21 +562,43 @@ def _block_errors(u: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.abs(err, out=err)
 
 
+def _block_sup(u: np.ndarray, ref: np.ndarray, out: np.ndarray) -> None:
+    """Write the row maximum of ``_block_errors(u, ref)`` into ``out`` with
+    its bits, NaN, inf and signed zeros included, building no error block:
+    ``|u - ref|`` is taken on a buffer as wide as the live columns (``ref``
+    is not written: it may be an array a datum keeps), and ``|u|`` left of
+    them as ``|max(max u, -min u)|`` on a view of ``u``.  Either side may
+    have no columns: the live maximum starts from ``+0.0``, below no error,
+    so it changes no maximum and is the maximum of none; an empty dead side
+    is skipped."""
+    j0 = u.shape[1] - ref.shape[1]
+    live = np.subtract(u[:, j0:], ref)
+    np.maximum.reduce(np.abs(live, out=live), axis=1, out=out, initial=0.0)
+    if j0:
+        dead = u[:, :j0]
+        top = np.maximum(np.maximum.reduce(dead, axis=1),
+                         np.negative(np.minimum.reduce(dead, axis=1)))
+        np.maximum(np.abs(top, out=top), out, out=out)
+
+
 def _meter(datum, grid: GridSpec, a: float, convention: str) -> Callable:
-    """``measure(u, n0)``, one run's block measurement: the errors
-    ``|u - ref|`` of levels ``n0, n0+1, ...`` (rows of ``u``) against their
-    reference values, from which each driver reduces the norms it returns
-    (a row's l-infinity error is its maximum, its l2 error
-    ``sqrt(dx * _sum_squares(row))``).  Only the shifts ``a t`` change
-    between blocks; being monotone in the level, their extremes are a
-    block's end rows."""
+    """``measure(u, n0, reduce=_block_errors, *args)``, one run's block
+    measurement: ``reduce(u, ref, *args)`` of levels ``n0, n0+1, ...``
+    (rows of ``u``) and ``ref``, their reference values from the first live
+    column on.  By default that is the errors ``|u - ref|``, from which
+    each driver reduces the norms it returns (a row's l-infinity error is
+    its maximum, its l2 error ``sqrt(dx * _sum_squares(row))``);
+    ``convergence_study`` writes the maxima alone (``_block_sup``).  Only
+    the shifts ``a t`` change between blocks; being monotone in the level,
+    their extremes are a block's end rows."""
     evaluate = _reference(datum, grid, convention)
     dt = grid.dt
 
-    def measure(u: np.ndarray, n0: int) -> np.ndarray:
+    def measure(u: np.ndarray, n0: int, reduce: Callable = _block_errors,
+                *args):
         shift = a * (np.arange(n0, n0 + len(u)) * dt)[:, None]
         ends = shift.item(0), shift.item(-1)
-        return _block_errors(u, evaluate(shift, min(ends), max(ends)))
+        return reduce(u, evaluate(shift, min(ends), max(ends)), *args)
     return measure
 
 
@@ -796,8 +826,7 @@ def convergence_study(datum, stencil: SchemeStencil, kb: int,
         *_, measure, march = _interval_march(datum, grid, stencil, kb, N,
                                              convention)
         linf = np.zeros(N + 1)
-        march(lambda k, block, u: np.maximum.reduce(measure(u, k.start), 1,
-                                                    out=linf[k]))
+        march(lambda k, block, u: measure(u, k.start, _block_sup, linf[k]))
         sup = float(linf.max())
         order = float("nan")
         if prev is not None and sup > 0 and prev[1] > 0:
@@ -826,23 +855,28 @@ def consistency_error_field(datum, grid: GridSpec, stencil: SchemeStencil,
     n = _integer(n, "time index n")
     if n < 1:
         raise ValueError("time index must be at least 1")
+    if n > sys.float_info.max:  # a t^n would not convert it
+        raise ValueError("time index n is past the float range")
     j_lo, j_hi = (_integer(j, "window") for j in window)
     if j_hi < j_lo:
         raise ValueError("empty index window")
+    if max(abs(j_lo), abs(j_hi)) > sys.float_info.max:  # nor its edges
+        raise ValueError("window end is past the float range")
     _check_ratio(grid, stencil)
     a = stencil.velocity_a
     dx, dt = grid.dx, grid.dt
     # the wider window, of the previous level: its edges x_{j0-1} .. x_{j1}
-    # shifted by a t^{n-1}, the least shift, are refused as a run's would be
+    # shifted by a t^{n-1}, the least shift, are refused as a run's would be;
+    # the reach first, which keeps the cell count below the float range
     j0, j1 = j_lo - stencil.r, j_hi + stencil.p
-    cells = j1 - j0 + 1
-    if cells > _MAX_LEVEL_CELLS:
-        raise ValueError(f"window ({j_lo}, {j_hi}) of {cells:.3g} cells is "
-                         f"more than the cap of {_MAX_LEVEL_CELLS:.3g}")
     far = max(abs(j0 - 1), abs(j1))
     if far > 2 ** 40:
         raise ValueError(f"window ({j_lo}, {j_hi}) reaches {far:.3g} cells "
                          "from x = 0, more than 2**40")
+    cells = j1 - j0 + 1
+    if cells > _MAX_LEVEL_CELLS:
+        raise ValueError(f"window ({j_lo}, {j_hi}) of {cells:.3g} cells is "
+                         f"more than the cap of {_MAX_LEVEL_CELLS:.3g}")
     _check_shift(a * stencil.lam * n, f"velocity {a!r} times lambda "
                  f"{stencil.lam!r}", f" by time index {n}")
     if isinstance(datum, PowerPlusDatum) and \

@@ -30,6 +30,7 @@ GATES = [
     "test_solver.py::test_march_is_bit_exact_against_scalar_loop",
     "test_solver.py::test_live_columns_match_full_width_evaluation",
     "test_solver.py::test_wide_block_norms_match_per_row_sums",
+    "test_solver.py::test_block_sup_is_the_row_maximum_of_block_errors",
     "test_solver.py::test_identity_march_gives_the_matrix_powers",
     "test_spectral.py::test_transition_columns_are_bit_exact_march_steps",
     "test_energy.py::test_balance_rows_are_bit_exact_per_row",

@@ -83,12 +83,29 @@ def test_n_steps_rejects_a_vanishing_time_step():
 
 def test_grid_refuses_a_cell_width_below_the_normal_floats():
     tiny = np.finfo(float).tiny
-    assert GridSpec(L=2 * tiny, J=2, lam=0.7).dx == tiny
+    # lam = 1 keeps dt = dx normal (test_grid_refuses_a_subnormal_time_step)
+    assert GridSpec(L=2 * tiny, J=2, lam=1.0).dx == tiny
     for L, J in ((5e-324, 2), (tiny, 2), (1e-300, 10 ** 9)):
         with pytest.raises(ValueError, match="L / J"):
             GridSpec(L=L, J=J, lam=0.7)
     with pytest.raises(ValueError, match="dt = "):
         GridSpec(L=1e308, J=1, lam=2.0)
+
+
+def test_grid_refuses_a_subnormal_time_step():
+    # dt = lam * dx underflows to zero or to a subnormal: a half-line run
+    # on GridSpec(0.7, 40, 5e-324) marched at dt = 0 and gave its sources
+    # no weight, so its stability functional ratio read inf
+    tiny = sys.float_info.min
+    assert GridSpec(L=1.0, J=1, lam=tiny).dt == tiny
+    for L, J, lam, dt in ((0.7, 40, 5e-324, "0.0"),
+                          (1.0, 10, 1e-320, "1e-321"),
+                          (2 * tiny, 2, 0.7, "1.557551700955041e-308"),
+                          (1.0, 1, tiny / 2, "1.1125369292536007e-308")):
+        with pytest.raises(ValueError, match=rf"^time step dt = lambda \* "
+                           rf"L / J = {dt} is too small: not a positive "
+                           "normal float$"):
+            GridSpec(L=L, J=J, lam=lam)
 
 
 def test_grid_refuses_a_cell_count_past_the_float_range():
@@ -340,13 +357,22 @@ _FAR = GridSpec(L=1e200, J=40, lam=0.7)
     # the exact cell averages on the window, x up to 1e200, overflow
     (lambda: consistency_error_field(_U01, _FAR, LW, 1, (1, 3)),
      ValueError, r"^window \(1, 3\) of L = 1e\+200 reaches too far"),
+    # a time index or window end an int too large for a float
+    (lambda: consistency_error_field(_U01, _GRID40, LW, 10 ** 400, (1, 3)),
+     ValueError, "^time index n is past the float range$"),
+    (lambda: consistency_error_field(_U01, _GRID40, LW, 1, (1, 10 ** 400)),
+     ValueError, "^window end is past the float range$"),
+    (lambda: consistency_error_field(_U01, _GRID40, LW, 1,
+                                     (-10 ** 400, 3)),
+     ValueError, "^window end is past the float range$"),
 ], ids=["run_midpoint", "run_cell_average", "halfline", "reference_values",
         "initial_state", "reference_values_shift",
         "reference_values_left_shift", "reference_values_far_left_shift",
         "reference_values_inf_shift",
         "unstable_run",
         "unstable_final", "unstable_convergence", "l2_overflow",
-        "l2_overflow_remeasured", "consistency_window"])
+        "l2_overflow_remeasured", "consistency_window", "consistency_huge_n",
+        "consistency_huge_window_end", "consistency_huge_window_start"])
 def test_the_library_refuses_what_leaves_the_float_range(call, error,
                                                          message):
     with warnings.catch_warnings():
@@ -931,7 +957,7 @@ def test_wide_block_norms_match_per_row_sums():
 def test_march_results_do_not_depend_on_block_size(monkeypatch):
     # one level per block, and the whole run in one block, give the same
     # arrays as the default blocks
-    grid = GridSpec(L=1.0, J=320, lam=0.7)
+    grid = GridSpec(L=1.0, J=640, lam=0.7)
     d = PowerPlusDatum(0.5, 2.6)
 
     def arrays():
@@ -1229,6 +1255,52 @@ def test_meter_matches_block_errors_of_reference_values(conv):
                 assert _bits_equal(solver._block_errors(u, ref), want), case
                 assert _bits_equal(measure(u, n0), want), case
     assert moved >= 20  # blocks whose first nonzero column moves
+
+
+def test_block_sup_is_the_row_maximum_of_block_errors():
+    # convergence_study's reducer writes np.maximum.reduce of _block_errors
+    # with every bit, NaN payloads and signs included (compared as uint64,
+    # which _bits_equal cannot do for NaN): on blocks of NaN, inf, signed
+    # zeros and subnormals, with no dead or no live columns, of one row,
+    # on strided views of a march block; a read-only ref stays unwritten
+    rng = np.random.default_rng(41)
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0,
+                         5e-324, -5e-324, 1e-310, -2.2e-308])
+
+    def check(u, ref, case):
+        ref.flags.writeable = False
+        kept = ref.copy()
+        got = np.full(len(u), 7.0)
+        with np.errstate(invalid="ignore"):  # inf - inf in both
+            want = np.maximum.reduce(solver._block_errors(u, ref), axis=1)
+            assert solver._block_sup(u, ref, got) is None
+        assert np.array_equal(got.view(np.uint64),
+                              want.view(np.uint64)), case
+        assert np.array_equal(ref.view(np.uint64), kept.view(np.uint64))
+
+    seen = set()
+    for trial in range(600):
+        rows, J = int(rng.integers(1, 7)), int(rng.integers(1, 50))
+        block = np.zeros((rows, J + 3))
+        u = block[:, 1:1 + J]  # a strided view, as the march hands it
+        u[:] = rng.standard_normal((rows, J)) * rng.choice([1.0, 1e-310])
+        live = int(rng.choice([0, J, int(rng.integers(0, J + 1))]))
+        ref = rng.standard_normal((rows, live))
+        if rng.random() < 0.3:
+            ref[:] = u[:, J - live:]  # errors of zero
+        for a in (u, ref):
+            mask = rng.random(a.shape) < rng.choice([0.0, 0.1, 0.6])
+            a[mask] = rng.choice(specials, mask.sum())
+        seen.add((rows == 1, live == 0, live == J))
+        check(u, ref, (trial, rows, J, live))
+    assert {(True, True, False), (False, True, False), (False, False, True),
+            (False, False, False), (True, False, True)} <= seen
+    # a dead side of subnormals and signed zeros only: row maxima of |u|
+    u = np.array([[-0.0, -5e-324, 0.0], [0.0, -0.0, -0.0],
+                  [-1e-310, 5e-324, -0.0]])
+    check(u, np.zeros((3, 0)), "dead")
+    check(u, np.zeros((3, 3)), "live")
+    check(u[:1], -u[:1, 1:], "one row")
 
 
 def test_reference_values_of_no_times_are_no_rows():
